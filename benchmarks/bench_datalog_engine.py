@@ -12,23 +12,20 @@ backends against each other on three reachability workloads:
 
 Backends compared:
 
-* ``naive``            -- Jacobi re-derivation (ablation baseline;
-  capped, it is O(n^3)-ish here);
-* ``semi-naive``       -- the set-at-a-time engine (interned ids,
-  columnar batches, relation-level hash joins, bitset unary
-  relations);
-* ``semi-naive-tuple`` -- the same plans executed tuple-at-a-time
-  (the PR-1 engine, kept for this ablation);
-* ``magic``            -- demand transformation + set-at-a-time
-  evaluation, goal-directed on a single-source query.
+* ``naive``      -- Jacobi re-derivation, tuple at a time (the
+  conformance oracle; capped, it is O(n^3)-ish here);
+* ``semi-naive`` -- the set-at-a-time engine (interned ids, columnar
+  batches, relation-level hash joins, bitset unary relations);
+* ``magic``      -- demand transformation + set-at-a-time evaluation,
+  goal-directed on a single-source query.
 
 Alongside the engine backends, the **solver workloads** benchmark the
 Theorem 4.4 pipeline (grounding + linear-time Horn) on the same three
-workload families, across its three execution forms: the streamed,
+workload families, in its two execution forms: the streamed,
 demand-pruned production path (``quasi-guarded``: ground rules
-instantiated on demand into an online LTUR), the eager interned
-materialization retained as the ablation (``quasi-guarded-eager``, the
-PR 3 path), and the raw-value PR 2 pipeline (``quasi-guarded-raw``):
+instantiated on demand into an online LTUR) and the eager
+materialization (``quasi-guarded-eager``, the service's budget
+fallback):
 
 * ``solve-chain-N`` / ``solve-tree-N`` -- the compiled Theorem 4.5
   ``has_neighbor`` MSO program, evaluated over the ``A_td`` encoding
@@ -37,15 +34,14 @@ PR 3 path), and the raw-value PR 2 pipeline (``quasi-guarded-raw``):
   grid solved through the real Theorem 4.5 path (``has_neighbor``
   compiled at width 2 relative to the grid class --
   ``grid_graph_filter``).  Runs the streamed production form (the
-  fold+unfold shrunk program -- ~770 rules since the v8 shrinking
-  passes -- on the single-pass route) against the ``passes=()``
-  ablation (the ~20k-rule program PR 9 served, multi-pass
-  delta-iteration); the eager/raw ablations ground the full cross
-  product -- 1.4M ground rules at N=40 -- and are benchmarked on the
-  width-1 workloads instead.  Gated on exact agreement with *direct
-  MSO evaluation* and with the hand-written cover DP over the same
-  ``A_td`` encoding, and on the shrunk program beating the ablation
-  by ``GRID2X_PASSES_SPEEDUP``;
+  folded program, ~770 rules) against the ``passes=()`` ablation (the
+  ~20k-rule fold-free program), so the arm isolates class folding
+  alone; the eager form grounds the full cross product -- 1.4M ground
+  rules at N=40 -- and is benchmarked on the width-1 workloads
+  instead.  Gated on exact agreement with *direct MSO evaluation* and
+  with the hand-written cover DP over the same ``A_td`` encoding, and
+  on the folded program beating the ablation by
+  ``GRID2X_PASSES_SPEEDUP``;
 * ``solve-grid-K`` -- a K x K grid is decomposed at its natural width
   (≈ K, far outside the compiler's envelope), and a Figure-style
   quasi-guarded dynamic program over its wide-bag ``A_td`` encoding
@@ -71,21 +67,22 @@ Two entry points:
   1. all full-fixpoint backends derive *identical* ``path`` relations,
      and magic's answers match the single-source slice of them;
   2. magic derives strictly fewer facts than semi-naive;
-  3. on the largest chain, set-at-a-time semi-naive is no slower than
-     ``semi-naive-tuple`` -- and at chain >= 800 (the default full
-     run) it must be >= 3x faster;
+  3. **regression gate** (v9): every engine run reproduces the
+     checked-in baseline's ``facts_derived`` / ``rule_firings``
+     exactly, and semi-naive on the largest chain stays within
+     ``TIMING_DRIFT`` of its baseline time;
   4. on the largest chain, magic is >= 2x faster than full semi-naive;
-  5. all quasi-guarded forms run on a workload derive identical unary
-     answers; the streamed form prunes rules (``rules_pruned > 0``)
-     on the chain, tree and grid2x solves, is >= 2x faster than the
-     eager ablation on the tree solve and >= 1.3x on the chain solve
-     (the Theorem 4.5 programs are minimized since PR 5, so eager's
-     dead weight -- and the streamed form's headroom -- shrank); the
-     eager interned form stays >= 2x faster than the raw ablation on
-     the grid cover DP; the grid2x answers equal direct MSO
+  5. both quasi-guarded forms derive identical unary answers; the
+     streamed form prunes rules (``rules_pruned > 0``) on the chain,
+     tree and grid2x solves, is >= 2x faster than the eager form on
+     the tree solve and >= 1.3x on the chain solve; every solver arm
+     reproduces the baseline's ``ground_rules`` / ``peak_live_rules``
+     / ``bindings_explored`` exactly and stays within
+     ``TIMING_DRIFT`` of its baseline time (the v9 **regression
+     gate**); the grid2x answers equal direct MSO
      evaluation and the hand-written cover DP on the same encoding,
-     and the shrunk (fold+unfold, single-pass) grid2x solve beats the
-     ``passes=()`` ablation by >= ``GRID2X_PASSES_SPEEDUP`` (v8);
+     and the folded grid2x solve beats the ``passes=()`` ablation by
+     >= ``GRID2X_PASSES_SPEEDUP``;
   6. ``solve_many`` returns identical (canonically serialized)
      results for 1 worker and N workers;
   7. the checked-in ``BENCH_engine.json`` must match the harness's
@@ -117,12 +114,10 @@ from repro.datalog import (
     EvaluationStats,
     PlanProfile,
     ProgramCache,
-    SemiNaiveEvaluator,
     SetDatabase,
     SetSemiNaiveEvaluator,
     atom,
     const,
-    least_fixpoint,
     naive_least_fixpoint,
     parse_program,
     prepare_program,
@@ -149,7 +144,7 @@ SIZES = [30, 60, 120]
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_JSON = REPO_ROOT / "BENCH_engine.json"
 
-FULL_BACKENDS = ["naive", "semi-naive", "semi-naive-tuple"]
+FULL_BACKENDS = ["naive", "semi-naive"]
 ALL_BACKENDS = FULL_BACKENDS + ["magic"]
 
 
@@ -220,14 +215,6 @@ if pytest is not None:
         )
         assert len(result.relation("path")) == n * (n - 1) // 2
 
-    @pytest.mark.parametrize("n", SIZES, ids=lambda n: f"chain{n}")
-    def test_tuple_semi_naive_transitive_closure(benchmark, n):
-        db = chain_db(n)
-        result = benchmark.pedantic(
-            least_fixpoint, args=(TC, db), rounds=3, iterations=1
-        )
-        assert len(result.relation("path")) == n * (n - 1) // 2
-
     @pytest.mark.parametrize("n", SIZES[:2], ids=lambda n: f"chain{n}")
     def test_naive_transitive_closure(benchmark, n):
         db = chain_db(n)
@@ -252,7 +239,7 @@ if pytest is not None:
         """Semi-naive fires each derivation O(1) times; naive re-fires
         everything every round; magic only fires what the query needs."""
         n = 40
-        evaluator = SemiNaiveEvaluator(TC)
+        evaluator = SetSemiNaiveEvaluator(TC)
         evaluator.evaluate(chain_db(n))
         semi = evaluator.stats.rule_firings
         naive_stats = EvaluationStats()
@@ -305,11 +292,14 @@ def check_agreement(name, db, include_naive, cache, failures):
     return reference
 
 
-def run_comparison(quick, repeat=3):
+def run_comparison(quick, repeat=3, baseline=None):
     """Compare the backends on the reachability workloads.
 
-    Returns (table rows, per-workload results dict, contract
-    violations).
+    ``baseline`` is the checked-in ``workloads`` section (``None`` when
+    there is no comparable baseline): every run's counters must match
+    it, and semi-naive on the largest chain must stay within
+    ``TIMING_DRIFT`` of it.  Returns (table rows, per-workload results
+    dict, contract violations).
     """
     cache = ProgramCache()
     rows = []
@@ -356,56 +346,93 @@ def run_comparison(quick, repeat=3):
                 "fewer"
             )
         if name.startswith("chain-"):
-            largest_chain = (name, int(name.split("-")[1]), runs)
+            largest_chain = name
+        if baseline is not None:
+            for backend, run in results[name].items():
+                failures.extend(
+                    check_regression(
+                        f"{name}/{backend}",
+                        run,
+                        baseline.get(name, {}).get(backend),
+                        ENGINE_COUNTERS,
+                        timed=False,
+                    )
+                )
 
-    # speedup contracts on the largest chain
-    name, n, runs = largest_chain
-    semi, tup, magic = (
-        runs["semi-naive"],
-        runs["semi-naive-tuple"],
-        runs["magic"],
-    )
-    if semi.ms > tup.ms:
-        failures.append(
-            f"{name}: set-at-a-time semi-naive ({semi.ms:.1f}ms) is "
-            f"slower than semi-naive-tuple ({tup.ms:.1f}ms)"
+    # contracts on the largest chain
+    name = largest_chain
+    semi, magic = results[name]["semi-naive"], results[name]["magic"]
+    if baseline is not None:
+        failures.extend(
+            check_regression(
+                f"{name}/semi-naive",
+                semi,
+                baseline.get(name, {}).get("semi-naive"),
+                (),
+            )
         )
-    if n >= 800 and semi.ms * 3 > tup.ms:
+    if magic["ms"] * 2 > semi["ms"]:
         failures.append(
-            f"{name}: set-at-a-time {semi.ms:.1f}ms vs tuple "
-            f"{tup.ms:.1f}ms -- less than the required 3x speedup"
-        )
-    if magic.ms * 2 > semi.ms:
-        failures.append(
-            f"{name}: magic {magic.ms:.1f}ms vs semi-naive "
-            f"{semi.ms:.1f}ms -- less than the required 2x speedup"
+            f"{name}: magic {magic['ms']:.1f}ms vs semi-naive "
+            f"{semi['ms']:.1f}ms -- less than the required 2x speedup"
         )
     return rows, results, failures
 
 
+#: the regression gates' timing bound: an arm may run at most this many
+#: times its checked-in baseline time (host differences and timer
+#: noise stay well inside it; reinstating a route the size of the
+#: deleted raw-value or tuple-at-a-time paths -- 3-10x -- does not)
+TIMING_DRIFT = 3.0
+
+#: deterministic counters the engine regression gate pins
+ENGINE_COUNTERS = ("facts_derived", "rule_firings")
+
+#: deterministic counters the solver regression gate pins, where an
+#: arm records them (``peak_live_rules`` is streamed-only)
+SOLVER_COUNTERS = ("ground_rules", "peak_live_rules", "bindings_explored")
+
+
+def check_regression(label, run, baseline, counters, timed=True):
+    """The v9 regression gate for one arm against its checked-in
+    baseline record: each deterministic counter must match exactly,
+    and (``timed``) the wall clock must stay within ``TIMING_DRIFT``
+    of the baseline's.  An arm missing from the baseline is the drift
+    gate's business, not this one's."""
+    failures = []
+    if baseline is None:
+        return failures
+    for counter in counters:
+        if counter in baseline and run.get(counter) != baseline[counter]:
+            failures.append(
+                f"{label}: {counter} = {run.get(counter)} drifted from "
+                f"the baseline's {baseline[counter]}"
+            )
+    if timed and run["ms"] > baseline["ms"] * TIMING_DRIFT:
+        failures.append(
+            f"{label}: {run['ms']:.1f}ms is over {TIMING_DRIFT:g}x the "
+            f"baseline's {baseline['ms']:.1f}ms"
+        )
+    return failures
+
+
 # ----------------------------------------------------------------------
 # Solver workloads: the Theorem 4.4 pipeline -- streamed+pruned vs the
-# eager interned ablation vs raw values -- on chain/grid/tree families.
+# eager materialization -- on chain/grid/tree families.
 # ----------------------------------------------------------------------
 
-SCHEMA_VERSION = "bench-engine/v8"
+SCHEMA_VERSION = "bench-engine/v9"
 
-#: the v8 gate on the grid2x solve: the shrunk program (fold + unfold
-#: passes, single-pass evaluation) must beat the passes=() ablation --
-#: the program PR 9 served -- by this factor
+#: the gate on the grid2x solve: the folded program must beat the
+#: passes=() ablation (the fold-free ~20k-rule program) by this factor
 GRID2X_PASSES_SPEEDUP = 3.0
 
-SOLVER_BACKENDS = [
-    "quasi-guarded",
-    "quasi-guarded-eager",
-    "quasi-guarded-raw",
-]
+SOLVER_BACKENDS = ["quasi-guarded", "quasi-guarded-eager"]
 
 #: backend name -> QuasiGuardedEvaluator mode (mirrors CourcelleSolver)
 SOLVER_MODES = {
     "quasi-guarded": "streamed",
     "quasi-guarded-eager": "eager",
-    "quasi-guarded-raw": "raw",
 }
 
 
@@ -507,10 +534,10 @@ def solver_workloads(quick):
         free_var="x",
         structure_filter=grid_graph_filter,
     )
-    # the passes=() ablation: the very same query compiled without the
-    # program-shrinking passes (ROADMAP D) -- the program PR 9 served.
-    # The v8 gate times it on the same encoding; the shrunk program on
-    # the single-pass route must beat it by GRID2X_PASSES_SPEEDUP.
+    # the passes=() ablation: the very same query compiled without
+    # class folding (ROADMAP D).  The gate times it on the same
+    # encoding; the folded program must beat it by
+    # GRID2X_PASSES_SPEEDUP.
     compiled2_ablated = compile_unary_query(
         formulas.has_neighbor("x"),
         GRAPH_SIGNATURE,
@@ -534,10 +561,10 @@ def solver_workloads(quick):
             "encoded": encoded,
             "answer_predicate": ANSWER_PREDICATE,
             "expected": 2 * ladder_n,
-            # streamed only: the eager/raw forms ground the full
-            # program x structure cross product (1.4M ground rules at
-            # N=40) -- demand pruning is precisely what makes the
-            # width-2 compiled program practical
+            # streamed only: the eager form grounds the full program x
+            # structure cross product (1.4M ground rules at N=40) --
+            # demand pruning is precisely what makes the width-2
+            # compiled program practical
             "backends": ["quasi-guarded"],
             "reference": reference,
             "dp_answers": dp_answers,
@@ -561,14 +588,15 @@ def solver_workloads(quick):
     return out
 
 
-def run_solver_comparison(quick, repeat=3):
-    """The Theorem 4.4 pipeline: streamed vs eager vs raw.
+def run_solver_comparison(quick, repeat=3, baseline=None):
+    """The Theorem 4.4 pipeline: streamed vs eager.
 
-    Returns (table rows, per-workload results dict, contract
-    violations).  Contracts: identical unary answers across all three
-    forms; the streamed form prunes rules and is >= 2x faster than
-    eager on the chain and tree solves; eager stays >= 2x faster than
-    raw on the grid solve.
+    ``baseline`` is the checked-in ``solver_workloads`` section, or
+    ``None`` when there is no comparable baseline.  Returns (table
+    rows, per-workload results dict, contract violations).
+    Contracts: identical unary answers across both forms; the streamed
+    form prunes rules and beats eager on the chain and tree solves;
+    every arm matches its baseline counters and timing drift bound.
     """
     from repro.core import QuasiGuardedEvaluator
 
@@ -600,6 +628,7 @@ def run_solver_comparison(quick, repeat=3):
             runs[backend] = {
                 "ms": round(ms, 3),
                 "ground_rules": warm.ground_rules,
+                "bindings_explored": warm.stats.bindings_explored,
                 "answers": len(answers[backend]),
             }
             if mode == "streamed":
@@ -608,14 +637,12 @@ def run_solver_comparison(quick, repeat=3):
                     warm.stats.peak_live_rules
                 )
         if "ablation_program" in workload:
-            # the passes=() arm: same query, unshrunk program, the
-            # multi-pass delta-iteration route (single_pass=False)
+            # the passes=() arm: same query, fold-free program
             evaluator = QuasiGuardedEvaluator(
                 workload["ablation_program"],
                 dependencies=workload["ablation_dependencies"],
                 mode="streamed",
                 demand=answer_pred,
-                single_pass=False,
             )
             warm = evaluator.evaluate(encoded)
             answers["quasi-guarded-nopasses"] = warm.unary_answers(
@@ -630,6 +657,7 @@ def run_solver_comparison(quick, repeat=3):
             runs["quasi-guarded-nopasses"] = {
                 "ms": round(ms, 3),
                 "ground_rules": warm.ground_rules,
+                "bindings_explored": warm.stats.bindings_explored,
                 "answers": len(answers["quasi-guarded-nopasses"]),
                 "rules_pruned": warm.stats.rules_pruned,
                 "peak_live_rules": warm.stats.peak_live_rules,
@@ -686,40 +714,39 @@ def run_solver_comparison(quick, repeat=3):
                 f"hand-written cover DP ({len(reference)} vs "
                 f"{len(workload['dp_answers'])} answers)"
             )
-        failures.extend(check_solver_contracts(name, runs))
+        failures.extend(
+            check_solver_contracts(
+                name,
+                runs,
+                baseline.get(name) if baseline is not None else None,
+            )
+        )
     return rows, results, failures
 
 
-def check_solver_contracts(name, runs):
+def check_solver_contracts(name, runs, baseline=None):
     """The perf contracts of one solver workload; separated out so the
     test-suite can exercise the gate logic on synthetic timings.
 
     The streamed form must dominate on the compiled-MSO chain/tree
-    solves, where most of the eager ground program is dead weight.
-    Since the Theorem 4.5 compiler minimizes its type table (PR 5) the
-    compiled programs -- and eager's dead weight -- are much smaller,
-    so the chain gate is 1.3x where it used to be 2x (the tree solve
-    still clears 2x).  The grid cover DP is the counter-case the
-    eager ablation is retained for: its ground program is fully live,
-    so batch materialization has nothing to prune -- per-round driver
-    batching (ROADMAP (f)) closed most of the per-event overhead
-    (streamed went from 0.49x to ~0.75x of eager there), but there
-    the streamed form still only has to beat the raw-value pipeline,
-    and the eager-vs-raw interning gate of schema v2 still applies.
-    The grid2x workload (width-2 Theorem 4.5 path) runs the streamed
-    form only; its gate is pruning engagement -- the answer
-    conformance pins live in ``run_solver_comparison``.
+    solves, where most of the eager ground program is dead weight: >=
+    2x on the tree solve, >= 1.3x on the chain solve (the minimized
+    Theorem 4.5 programs shrank eager's dead weight).  The grid cover
+    DP is the counter-case: its ground program is fully live, so there
+    is nothing to prune and no ratio is gated -- streamed runs at
+    ~0.7x of eager there (ROADMAP (J) step 5).  Every arm is instead
+    held to its ``baseline`` record (the checked-in
+    ``solver_workloads`` entry, when comparable) by
+    :func:`check_regression`.  The grid2x workload (width-2
+    Theorem 4.5 path) runs the streamed form only; its gates are
+    pruning engagement and the folded program beating the
+    ``passes=()`` ablation -- the answer conformance pins live in
+    ``run_solver_comparison``.
     """
     failures = []
     streamed = runs["quasi-guarded"]
     eager = runs.get("quasi-guarded-eager")
-    raw = runs.get("quasi-guarded-raw")
     chain_or_tree = name.startswith(("solve-chain-", "solve-tree-"))
-    if raw is not None and streamed["ms"] > raw["ms"]:
-        failures.append(
-            f"{name}: streamed quasi-guarded ({streamed['ms']:.1f}ms) "
-            f"is slower than the raw ablation ({raw['ms']:.1f}ms)"
-        )
     if chain_or_tree:
         required = 2.0 if name.startswith("solve-tree-") else 1.3
         if streamed["ms"] * required > eager["ms"]:
@@ -735,22 +762,26 @@ def check_solver_contracts(name, runs):
             f"{name}: streamed grounding pruned no rules -- demand "
             "pruning is not engaging"
         )
-    if name.startswith("solve-grid-") and eager["ms"] * 2 > raw["ms"]:
-        failures.append(
-            f"{name}: eager interned {eager['ms']:.1f}ms vs raw "
-            f"{raw['ms']:.1f}ms -- less than the required 2x speedup "
-            "on the grid solve"
-        )
     nopasses = runs.get("quasi-guarded-nopasses")
     if nopasses is not None and (
         streamed["ms"] * GRID2X_PASSES_SPEEDUP > nopasses["ms"]
     ):
         failures.append(
-            f"{name}: shrunk program {streamed['ms']:.1f}ms vs "
+            f"{name}: folded program {streamed['ms']:.1f}ms vs "
             f"passes=() ablation {nopasses['ms']:.1f}ms -- less than "
             f"the required {GRID2X_PASSES_SPEEDUP:g}x speedup from "
-            "the program-shrinking passes + single-pass route"
+            "class folding"
         )
+    if baseline is not None:
+        for backend, run in runs.items():
+            failures.extend(
+                check_regression(
+                    f"{name}/{backend}",
+                    run,
+                    baseline.get(backend),
+                    SOLVER_COUNTERS,
+                )
+            )
     return failures
 
 
@@ -1090,19 +1121,10 @@ def build_payload(
         "query": str(SOURCE_QUERY),
         "program": "transitive closure (right-linear)",
         "workloads": results,
-        "speedups": {
-            name: round(
-                backends["semi-naive-tuple"]["ms"]
-                / backends["semi-naive"]["ms"],
-                2,
-            )
-            for name, backends in results.items()
-            if backends.get("semi-naive", {}).get("ms")
-        },
         "solver_program": (
-            "Theorem 4.5 has_neighbor, minimized + shrinking passes "
+            "Theorem 4.5 has_neighbor, minimized + folded "
             "(chain/tree at width 1; grid2x ladder at width 2 via "
-            "grid_graph_filter, streamed shrunk program vs passes=() "
+            "grid_graph_filter, streamed folded program vs passes=() "
             "ablation, conformance-pinned to direct MSO + cover DP); "
             "A_td cover DP at natural width (grid)"
         ),
@@ -1154,9 +1176,30 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     repeat = 2 if args.quick else 3
+    previous = None
+    failures = []
+    if args.out.exists():
+        try:
+            previous = json.loads(args.out.read_text())
+        except json.JSONDecodeError:
+            failures.append(f"baseline drift: {args.out} is not valid JSON")
+    # the regression gates compare like with like: same schema, same
+    # workload sizes
+    comparable = (
+        previous is not None
+        and previous.get("schema") == SCHEMA_VERSION
+        and previous.get("quick") == args.quick
+    )
+    if not comparable:
+        print("no comparable baseline: regression gates skipped")
 
     print(f"reachability workloads, query = {SOURCE_QUERY}")
-    rows, results, failures = run_comparison(args.quick, repeat=repeat)
+    rows, results, engine_failures = run_comparison(
+        args.quick,
+        repeat=repeat,
+        baseline=previous.get("workloads", {}) if comparable else None,
+    )
+    failures.extend(engine_failures)
     print(
         format_table(
             ["workload", "backend", "facts", "ms", "vs semi-naive"], rows
@@ -1164,10 +1207,14 @@ def main(argv=None) -> int:
     )
     print(
         "\nsolver workloads (Theorem 4.4 pipeline: "
-        "streamed+pruned vs eager vs raw)"
+        "streamed+pruned vs eager)"
     )
     solver_rows, solver_results, solver_failures = run_solver_comparison(
-        args.quick, repeat=repeat
+        args.quick,
+        repeat=repeat,
+        baseline=(
+            previous.get("solver_workloads", {}) if comparable else None
+        ),
     )
     failures.extend(solver_failures)
     print(
@@ -1212,12 +1259,6 @@ def main(argv=None) -> int:
     failures.extend(solve_many_failures)
     for key, value in sorted(solve_many_results.items()):
         print(f"  {key}: {value}")
-    previous = None
-    if args.out.exists():
-        try:
-            previous = json.loads(args.out.read_text())
-        except json.JSONDecodeError:
-            failures.append(f"baseline drift: {args.out} is not valid JSON")
     payload = build_payload(
         results,
         solver_results,
@@ -1249,13 +1290,13 @@ def main(argv=None) -> int:
     print(
         "\nok: identical derived facts across full backends; magic derives "
         "strictly fewer facts and is >= 2x faster on the largest chain; "
-        "set-at-a-time semi-naive beats tuple-at-a-time; the streamed "
-        "quasi-guarded pipeline matches the eager and raw ablations' "
+        "the streamed quasi-guarded pipeline matches the eager form's "
         "answers, prunes rules, and beats eager >= 2x on the tree solve "
         "and >= 1.3x on the chain solve; the width-2 grid2x solve matches "
         "direct MSO evaluation and the hand-written cover DP and beats "
-        "the passes=() ablation; eager stays "
-        ">= 2x over raw on the grid solve; the profiled replan matches "
+        "the passes=() ablation; every engine and solver arm matches the "
+        "baseline's counters within the timing drift bound (when a "
+        "comparable baseline is checked in); the profiled replan matches "
         "static plans, clears 1.5x on the skewed join, and "
         "MinIndexSelection shares indexes across nested signatures; "
         "solve_many is worker-count-invariant; the baseline schema "

@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from repro.datalog import GroundRule, horn_least_model
+from repro.datalog import InternPool, horn_least_model_ids
 from repro.problems import ThreeColoringDatalog, random_partial_ktree
 from repro.problems.three_coloring import (
     _has_internal_edge,
@@ -38,9 +38,15 @@ def _all_states(bag):
         yield tuple(frozenset(p) for p in parts)
 
 
-def materialize_ground_program(graph, nice):
-    """All ground instances of the Figure 5 rules, Theorem 4.4 style."""
-    rules: list[GroundRule] = []
+def materialize_ground_program(graph, nice, pool):
+    """All ground instances of the Figure 5 rules, Theorem 4.4 style,
+    as ``(head_id, body_ids)`` pairs over atoms interned in ``pool``."""
+    intern = pool.interner.intern
+
+    def solve(node, state):
+        return pool.atom_id("solve", (intern(node), intern(state)))
+
+    rules: list[tuple[int, tuple[int, ...]]] = []
     tree = nice.tree
     for node in tree.postorder():
         kind = nice.node_kind(node)
@@ -49,7 +55,7 @@ def materialize_ground_program(graph, nice):
             for state in _all_states(bag):
                 if any(_has_internal_edge(graph, part) for part in state):
                     continue
-                rules.append(GroundRule(("solve", node, state)))
+                rules.append((solve(node, state), ()))
         elif kind is NiceNodeKind.INTRODUCTION:
             (child,) = tree.children(node)
             v = nice.introduced_element(node)
@@ -61,46 +67,36 @@ def materialize_ground_program(graph, nice):
                     )
                     if _has_internal_edge(graph, grown[i]):
                         continue
-                    rules.append(
-                        GroundRule(
-                            ("solve", node, grown), (("solve", child, state),)
-                        )
-                    )
+                    rules.append((solve(node, grown), (solve(child, state),)))
         elif kind is NiceNodeKind.REMOVAL:
             (child,) = tree.children(node)
             v = nice.removed_element(node)
             for state in _all_states(nice.bag(child)):
                 shrunk = tuple(part - {v} for part in state)
-                rules.append(
-                    GroundRule(
-                        ("solve", node, shrunk), (("solve", child, state),)
-                    )
-                )
+                rules.append((solve(node, shrunk), (solve(child, state),)))
         elif kind is NiceNodeKind.COPY:
             (child,) = tree.children(node)
             for state in _all_states(bag):
-                rules.append(
-                    GroundRule(("solve", node, state), (("solve", child, state),))
-                )
+                rules.append((solve(node, state), (solve(child, state),)))
         else:  # branch
             c1, c2 = tree.children(node)
             for state in _all_states(bag):
                 rules.append(
-                    GroundRule(
-                        ("solve", node, state),
-                        (("solve", c1, state), ("solve", c2, state)),
-                    )
+                    (solve(node, state), (solve(c1, state), solve(c2, state)))
                 )
     root = tree.root
+    success = pool.atom_id("success", ())
     for state in _all_states(nice.bag(root)):
-        rules.append(GroundRule(("success",), (("solve", root, state),)))
+        rules.append((success, (solve(root, state),)))
     return rules
 
 
 def materialized_decide(graph, td):
     nice = prepare_decomposition(graph, td)
-    rules = materialize_ground_program(graph, nice)
-    return ("success",) in horn_least_model(rules), len(rules)
+    pool = InternPool()
+    rules = materialize_ground_program(graph, nice, pool)
+    flags = horn_least_model_ids(rules, len(pool))
+    return bool(flags[pool.atom_id("success", ())]), len(rules)
 
 
 @pytest.fixture(scope="module")

@@ -22,11 +22,12 @@ machine-readable baseline ``BENCH_compiler.json`` to the repo root
    (``classes <= types``) and the width-2 grid program stays under
    ``MAX_GRID2_RULES`` rules (the emitted program must remain
    practically evaluable, not just constructible);
-3b. (v2) the program-shrinking passes only shrink
+3b. (v2) the program-shrinking pass only shrinks
    (``rules_after_passes <= rules``, ``classes_folded >= 0``) and the
    width-2 grid program lands under ``MAX_GRID2_RULES_AFTER_PASSES``
-   rules after ⊥-insensitive folding + recursion elimination
-   (ROADMAP D);
+   rules after ⊥-insensitive folding (ROADMAP D; v3 dropped the
+   bounded-predicate count with the no-op recursion-elimination pass
+   it reported on);
 4. the unfiltered graph compile still exhausts a 2000-type budget --
    the paper's state explosion is a property of the construction, not
    a bug to be fixed, and this gate fails if a change accidentally
@@ -49,14 +50,14 @@ except ImportError:  # running as a plain script without install
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_compiler.json"
-SCHEMA_VERSION = "bench-compiler/v2"
+SCHEMA_VERSION = "bench-compiler/v3"
 
 #: contract 3: the width-2 grid-class program must stay evaluable
 MAX_GRID2_RULES = 60000
 
-#: contract 6 (v2): after the program-shrinking passes (ROADMAP D --
-#: ⊥-insensitive folding + recursion elimination) the same width-2
-#: grid-class program must land well under the evaluability bound
+#: contract 6 (v2): after the program-shrinking pass (ROADMAP D --
+#: ⊥-insensitive folding) the same width-2 grid-class program must
+#: land well under the evaluability bound
 MAX_GRID2_RULES_AFTER_PASSES = 10000
 
 #: the per-record fields whose *presence* the drift gate pins
@@ -72,7 +73,6 @@ RECORD_FIELDS = (
     "rules",
     "classes_folded",
     "rules_after_passes",
-    "bounded_predicates",
     "max_reduced_witness",
     "max_witness_typed",
     "type_computations",
@@ -206,7 +206,6 @@ def run_compiles(quick):
             rules=stats.rules,
             classes_folded=stats.classes_folded,
             rules_after_passes=stats.rules_after_passes,
-            bounded_predicates=stats.bounded_predicates,
             max_reduced_witness=stats.max_reduced_witness,
             max_witness_typed=stats.max_witness_typed,
             type_computations=stats.type_computations,

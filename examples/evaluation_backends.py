@@ -1,5 +1,5 @@
-"""Pluggable evaluation backends: naive, semi-naive (set-at-a-time and
-tuple-at-a-time), and magic sets.
+"""Pluggable evaluation backends: naive, semi-naive (set-at-a-time), and
+magic sets.
 
 The engine evaluates any program through a named backend
 (``repro.datalog.backends``).  This example runs single-source

@@ -86,13 +86,13 @@ def compare_backends(
     and start each evaluation from a cheap
     :meth:`~repro.datalog.setengine.SetDatabase.snapshot` instead of
     re-paying the per-tuple structure load, while the tuple-at-a-time
-    ablations keep receiving the raw EDB they operate on.
+    ``naive`` oracle keeps receiving the value-level EDB it operates on.
     """
     if backends is None:
         backends = (
-            ("naive", "semi-naive", "semi-naive-tuple", "magic")
+            ("naive", "semi-naive", "magic")
             if query is not None
-            else ("naive", "semi-naive", "semi-naive-tuple")
+            else ("naive", "semi-naive")
         )
     interned_edb = None  # built on the first backend that can use it
     runs: list[BackendRun] = []

@@ -79,11 +79,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ..datalog.ast import Atom, Literal, Program, Rule, Variable, pos
 from ..datalog.guards import td_key_dependencies
-from ..datalog.passes import (
-    DEFAULT_PASSES,
-    eliminate_recursion,
-    normalize_passes,
-)
+from ..datalog.passes import DEFAULT_PASSES, normalize_passes
 from ..mso.eval import evaluate
 from ..mso.syntax import Formula
 from ..structures.signature import Signature
@@ -147,10 +143,6 @@ class CompilerStats:
     #: rule count of the final program after the pass pipeline
     #: (== ``rules`` when ``passes=()``)
     rules_after_passes: int = 0
-    #: predicates the boundedness detector marked bounded (always 0 for
-    #: the generic construction -- the identity permutation makes every
-    #: Θ↑/Θ↓ class recursive; see :mod:`repro.datalog.passes`)
-    bounded_predicates: int = 0
 
 
 @dataclass
@@ -165,11 +157,9 @@ class CompiledQuery:
     up_type_count: int
     down_type_count: int
     stats: CompilerStats | None = None
-    #: the shrinking passes this program was compiled with -- part of
-    #: every cache identity derived from the query (differently
+    #: the shrinking passes this program was compiled with (differently
     #: optimized variants are different programs with different
-    #: fingerprints, and the solver keys its grounding preparation on
-    #: the pass-dependent single-pass flag as well)
+    #: fingerprints, so cache entries never alias)
     passes: tuple[str, ...] = ()
 
     @property
@@ -275,7 +265,7 @@ class MSOToDatalogCompiler:
         self.max_types = max_types
         self.minimize = minimize
         #: the program-shrinking pipeline (``None`` -> the production
-        #: default, both passes; ``()`` is the retained ablation)
+        #: default, folding; ``()`` is the retained ablation)
         self.passes = normalize_passes(passes)
         #: Optional predicate restricting compilation to a *class* of
         #: structures (e.g. symmetric loop-free graphs).  Sound whenever
@@ -837,13 +827,6 @@ class MSOToDatalogCompiler:
         else:
             rules_emitted = len(program)
 
-        bounded_count = 0
-        if "unfold" in self.passes:
-            program, unfold_report = eliminate_recursion(
-                program, keep=frozenset((ANSWER_PREDICATE,))
-            )
-            bounded_count = len(unfold_report.bounded)
-
         n_emitted = len(set(assign))
         astats = self.algebra.stats
         is_sentence = self.free_var is None
@@ -861,7 +844,6 @@ class MSOToDatalogCompiler:
             glue_pairs=len(self._glue_map),
             classes_folded=classes_folded,
             rules_after_passes=len(program),
-            bounded_predicates=bounded_count,
         )
         return CompiledQuery(
             program=program,

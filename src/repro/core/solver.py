@@ -47,7 +47,6 @@ from .quasi_guarded import _UNRESOLVED, QuasiGuardedEvaluator
 _QG_MODES = {
     "quasi-guarded": "streamed",
     "quasi-guarded-eager": "eager",
-    "quasi-guarded-raw": "raw",
 }
 
 
@@ -58,16 +57,14 @@ class CourcelleSolver:
     per structure: ``"quasi-guarded"`` (the default) runs the streamed,
     demand-pruned Theorem 4.4 pipeline (ground rules instantiated on
     demand into an online LTUR, rules irrelevant to the answer
-    predicate pruned at grounding time, one shared intern pool from
-    structure load to answer decoding); ``"quasi-guarded-eager"`` is
-    the same interned pipeline materializing the full ground program
-    (the PR 3 path, kept as the measured ablation);
-    ``"quasi-guarded-raw"`` is the eager pipeline over raw values (the
-    pre-interning ablation); any name registered in
-    :mod:`repro.datalog.backends` (``"naive"``, ``"semi-naive"`` --
-    the set-at-a-time engine, ``"semi-naive-tuple"``, ``"magic"``)
-    runs that bottom-up backend instead, with the magic backend
-    evaluating goal-directed on the answer predicate.  Backends that
+    predicate pruned at grounding time, answer rules fired once after
+    the fixpoint, one shared intern pool from structure load to answer
+    decoding); ``"quasi-guarded-eager"`` is the same pipeline
+    materializing the full ground program (the service's budget
+    fallback); any name registered in :mod:`repro.datalog.backends`
+    (``"naive"``, ``"semi-naive"`` -- the set-at-a-time engine,
+    ``"magic"``) runs that bottom-up backend instead, with the magic
+    backend evaluating goal-directed on the answer predicate.  Backends that
     can stay in interned-id space (``semi-naive``, ``magic``) do, and
     only the answer relation is decoded.  All choices share the
     compiled-program cache, so per-program planning happens once per
@@ -140,18 +137,9 @@ class CourcelleSolver:
                 passes=passes,
             )
         #: the shrinking-pass configuration actually applied (``passes=None``
-        #: resolved to the production default by the compiler); ``"unfold"``
-        #: additionally routes evaluation through the single-pass
-        #: (fire-once / deferred-sink) engine fast paths
+        #: resolved to the production default by the compiler)
         self.passes = self.compiled.passes
         self._wire_backend()
-
-    @property
-    def _single_pass(self) -> bool:
-        """Whether evaluation takes the single-pass route (tied to the
-        ``"unfold"`` pass so ``passes=()`` ablates the engine fast paths
-        together with the program shrinking)."""
-        return "unfold" in self.passes
 
     def _wire_backend(self, prepared=None, relevant=_UNRESOLVED) -> None:
         """Build the per-backend evaluation machinery.
@@ -182,7 +170,6 @@ class CourcelleSolver:
                 relevant=relevant,
                 profile=self.plan_profile,
                 replan=self._replan,
-                single_pass=self._single_pass,
             )
         else:
             self._backend = get_backend(backend, self.cache)
@@ -564,7 +551,6 @@ class CourcelleSolver:
                     self.compiled.program,
                     self.evaluator.registry if self.evaluator else None,
                     profile=clone._replan,
-                    single_pass=clone._single_pass,
                 )
                 if backend in _QG_MODES
                 else None,
@@ -610,7 +596,6 @@ class CourcelleSolver:
                 self.compiled.program,
                 self.evaluator.registry if self.evaluator else None,
                 profile=profile,
-                single_pass=self._single_pass,
             ),
             relevant=(
                 self.evaluator._relevant

@@ -5,23 +5,18 @@ callers (``core/solver.py``, the problem modules, the benchmark
 harness) pick *how* a program is evaluated without knowing the
 mechanics.  Three backends ship:
 
-* ``naive``            -- Jacobi-style re-derivation each round
-                          (ablation baseline);
-* ``semi-naive``       -- stratified delta-driven fixpoint executed
-                          set-at-a-time (:mod:`repro.datalog.setengine`:
-                          interned constants, columnar batches,
-                          relation-level hash joins, bitset unary
-                          relations); the default engine;
-* ``semi-naive-tuple`` -- the tuple-at-a-time execution of the same
-                          plans (:class:`SemiNaiveEvaluator`); kept as
-                          the ablation baseline for the set-at-a-time
-                          speedup benchmark;
-* ``magic``            -- magic-set / demand transformation relative to
-                          a query atom (:mod:`repro.datalog.magic`)
-                          followed by set-at-a-time semi-naive
-                          evaluation of the rewritten program:
-                          goal-directed, derives only query-relevant
-                          facts.
+* ``naive``      -- Jacobi-style re-derivation each round, tuple at a
+                    time: the simple conformance oracle;
+* ``semi-naive`` -- stratified delta-driven fixpoint executed
+                    set-at-a-time (:mod:`repro.datalog.setengine`:
+                    interned constants, columnar batches, relation-level
+                    hash joins, bitset unary relations); the default
+                    engine;
+* ``magic``      -- magic-set / demand transformation relative to a
+                    query atom (:mod:`repro.datalog.magic`) followed by
+                    set-at-a-time semi-naive evaluation of the
+                    rewritten program: goal-directed, derives only
+                    query-relevant facts.
 
 All of them share :class:`ProgramCache`, keyed by ``(program
 fingerprint, signature, width)`` (plus the query pattern for magic
@@ -48,7 +43,6 @@ from .evaluate import (
     Database,
     EvaluationStats,
     PreparedProgram,
-    SemiNaiveEvaluator,
     naive_least_fixpoint,
     prepare_program,
 )
@@ -290,27 +284,17 @@ class ProgramCache:
         signature=None,
         width: int | None = None,
         profile: PlanProfile | None = None,
-        single_pass: bool = True,
     ) -> PreparedGrounding:
-        """Extensional join orders for the Theorem 4.4 pipeline.
-
-        ``single_pass`` is part of the cache key: a prepared grounding
-        with deferred sink predicates is NOT interchangeable with the
-        plain one for the same program, so differently-optimized
-        variants must never alias each other's entries."""
+        """Extensional join orders for the Theorem 4.4 pipeline."""
         registry = self._resolve_registry(registry)
         key = (
             "grounding",
             self._fingerprint_of(program),
             profile.fingerprint() if profile is not None else None,
-            single_pass,
         ) + self._context_key(registry, signature, width)
         cost = CostModel(profile) if profile is not None else None
         return self._get_or_build(
-            key,
-            lambda: prepare_grounding(
-                program, registry, cost=cost, single_pass=single_pass
-            ),
+            key, lambda: prepare_grounding(program, registry, cost=cost)
         )
 
     def magic(
@@ -457,38 +441,6 @@ class SemiNaiveBackend:
         ).decode()
 
 
-class TupleSemiNaiveBackend:
-    """The tuple-at-a-time execution of the same semi-naive plans.
-
-    Semantically identical to ``semi-naive``; retained as the ablation
-    baseline so ``bench_datalog_engine.py`` can measure what the
-    set-at-a-time representation buys."""
-
-    name = "semi-naive-tuple"
-
-    def __init__(self, cache: ProgramCache | None = None):
-        self.cache = cache if cache is not None else default_cache()
-
-    def evaluate(
-        self,
-        program: Program,
-        edb,
-        *,
-        query=None,
-        registry: BuiltinRegistry | None = None,
-        stats: EvaluationStats | None = None,
-        signature=None,
-        width: int | None = None,
-    ) -> Database:
-        prepared = self.cache.prepared(
-            program, registry, signature=signature, width=width
-        )
-        evaluator = SemiNaiveEvaluator.from_prepared(prepared)
-        if stats is not None:
-            evaluator.stats = stats
-        return evaluator.evaluate(edb)
-
-
 class MagicSetBackend:
     """Demand-transform relative to ``query``, then run semi-naive.
 
@@ -602,7 +554,6 @@ def get_backend(
 
 register_backend(NaiveBackend.name, NaiveBackend)
 register_backend(SemiNaiveBackend.name, SemiNaiveBackend)
-register_backend(TupleSemiNaiveBackend.name, TupleSemiNaiveBackend)
 register_backend(MagicSetBackend.name, MagicSetBackend)
 
 

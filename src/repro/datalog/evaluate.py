@@ -1,20 +1,21 @@
-"""Bottom-up datalog evaluation (the naive and semi-naive backends).
+"""Bottom-up datalog evaluation: the shared planning layer and the
+``naive`` oracle.
 
 The least fixpoint of ``P ∪ A`` (Section 2.4) is computed bottom-up.
-This module is the substrate for the three pluggable evaluation
-backends registered in :mod:`repro.datalog.backends`:
+This module holds what every backend registered in
+:mod:`repro.datalog.backends` shares -- the value-level
+:class:`Database`, stratification, and the per-rule join plans of
+:func:`prepare_program` -- plus the ``naive`` backend itself:
 
 * ``naive`` -- :func:`naive_least_fixpoint`, Jacobi-style re-derivation
-  each round; the ablation baseline for the engine benchmark;
-* ``semi-naive`` -- :class:`SemiNaiveEvaluator`, stratified delta-driven
-  evaluation with on-demand hash indexes and built-in predicates; the
+  each round, tuple at a time; the simple oracle the conformance suite
+  pins every other route to;
+* ``semi-naive`` and ``magic`` run the same prepared plans
+  set-at-a-time in :mod:`repro.datalog.setengine` (``magic`` on the
+  demand-rewritten program of :mod:`repro.datalog.magic`) -- the
   "interpreter" of Section 6, whose lazy behaviour is the paper's
   optimization (2): "generating only those ground instances of rules
-  which actually produce new facts";
-* ``magic`` -- the demand transformation of :mod:`repro.datalog.magic`,
-  which rewrites the program relative to a query atom and then runs the
-  semi-naive evaluator on the rewritten program, deriving only facts
-  relevant to the query.
+  which actually produce new facts".
 
 Stratification and per-rule join plans are computed once per program by
 :func:`prepare_program` and reused across structures (and cached across
@@ -23,7 +24,7 @@ solver instances by :class:`repro.datalog.backends.ProgramCache`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..structures.structure import Fact, Structure
@@ -563,7 +564,13 @@ def _check_negation_stratified(
 
 
 class SemiNaiveEvaluator:
-    """Stratified semi-naive evaluation of a program over a database."""
+    """Tuple-at-a-time rule firing over a prepared program.
+
+    The machinery :func:`naive_least_fixpoint` runs on: a binding
+    stream per rule plan (:meth:`_solutions`) and head instantiation
+    (:meth:`_fire`).  The semi-naive delta loop itself runs
+    set-at-a-time in :class:`repro.datalog.setengine.SetSemiNaiveEvaluator`.
+    """
 
     def __init__(
         self,
@@ -588,25 +595,16 @@ class SemiNaiveEvaluator:
     # -- rule evaluation ------------------------------------------------
 
     def _solutions(
-        self,
-        plan: Sequence[PlanStep],
-        db: Database,
-        delta_index: int | None,
-        delta: Database | None,
+        self, plan: Sequence[PlanStep], db: Database
     ) -> Iterator[Binding]:
         bindings: list[Binding] = [{}]
         for step in plan:
             atom = step.literal.atom
             new_bindings: list[Binding] = []
             if step.kind == "relation":
-                source = (
-                    delta
-                    if delta_index is not None and step.body_index == delta_index
-                    else db
-                )
                 for binding in bindings:
                     pattern = _slots(atom, binding)
-                    for fact_args in source.match(atom.predicate, pattern):
+                    for fact_args in db.match(atom.predicate, pattern):
                         extended = _extend_with_fact(binding, atom, fact_args)
                         if extended is not None:
                             new_bindings.append(extended)
@@ -639,89 +637,15 @@ class SemiNaiveEvaluator:
                 return
         yield from bindings
 
-    def _fire(
-        self,
-        rule_index: int,
-        db: Database,
-        out: list[Fact],
-        delta_index: int | None = None,
-        delta: Database | None = None,
-    ) -> None:
+    def _fire(self, rule_index: int, db: Database, out: list[Fact]) -> None:
         rule = self.program.rules[rule_index]
         plan = self.prepared.plans[rule_index]
-        for binding in self._solutions(plan, db, delta_index, delta):
+        for binding in self._solutions(plan, db):
             self.stats.rule_firings += 1
             head = rule.head.substitute(
                 {v: Constant(val) for v, val in binding.items()}
             )
             out.append(head.to_fact())
-
-    # -- fixpoint -------------------------------------------------------
-
-    def evaluate(self, edb: Database | Iterable[Fact] | Structure) -> Database:
-        """Least fixpoint of ``P ∪ A``; the returned database contains
-        both the extensional and the derived facts."""
-        if isinstance(edb, Structure):
-            db = Database.from_structure(edb)
-        elif isinstance(edb, Database):
-            db = edb.copy()
-        else:
-            db = Database.from_facts(edb)
-
-        for stratum_plan in self.prepared.stratum_plans:
-            if not any(stratum_plan.recursive_positions):
-                # single-pass route: no rule of this stratum consumes
-                # the stratum's own output (an SCC-refined nonrecursive
-                # stratum), so one firing is the fixpoint -- skip the
-                # delta bookkeeping entirely
-                derived = []
-                for rule_index in stratum_plan.rule_indices:
-                    self._fire(rule_index, db, derived)
-                for fact in derived:
-                    if db.add(fact.predicate, fact.args):
-                        self.stats.facts_derived += 1
-                continue
-            # round 0: every rule once against the current database
-            delta = Database()
-            derived = []
-            for rule_index in stratum_plan.rule_indices:
-                self._fire(rule_index, db, derived)
-            for fact in derived:
-                if db.add(fact.predicate, fact.args):
-                    delta.add(fact.predicate, fact.args)
-                    self.stats.facts_derived += 1
-
-            # subsequent rounds: delta-restricted re-evaluation
-            while delta.fact_count():
-                self.stats.iterations += 1
-                new_delta = Database()
-                derived = []
-                for rule_index, positions in zip(
-                    stratum_plan.rule_indices, stratum_plan.recursive_positions
-                ):
-                    for body_index in positions:
-                        self._fire(
-                            rule_index,
-                            db,
-                            derived,
-                            delta_index=body_index,
-                            delta=delta,
-                        )
-                for fact in derived:
-                    if db.add(fact.predicate, fact.args):
-                        new_delta.add(fact.predicate, fact.args)
-                        self.stats.facts_derived += 1
-                delta = new_delta
-        return db
-
-
-def least_fixpoint(
-    program: Program,
-    edb: Database | Iterable[Fact] | Structure,
-    registry: BuiltinRegistry | None = None,
-) -> Database:
-    """Convenience wrapper: semi-naive least fixpoint."""
-    return SemiNaiveEvaluator(program, registry).evaluate(edb)
 
 
 def naive_least_fixpoint(
@@ -733,8 +657,9 @@ def naive_least_fixpoint(
 ) -> Database:
     """Naive (Jacobi-style) fixpoint: re-fire every rule each round.
 
-    Semantically identical to :func:`least_fixpoint`; exists as the
-    baseline of the engine ablation benchmark.
+    The tuple-at-a-time ``naive`` backend: deliberately the simplest
+    evaluator, and the oracle the conformance suite pins every other
+    route to.
     """
     evaluator = SemiNaiveEvaluator(program, registry, prepared=prepared)
     if stats is not None:

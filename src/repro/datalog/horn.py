@@ -9,12 +9,11 @@ The algorithm is the classic forward chaining with per-rule counters of
 unsatisfied body atoms: each rule is touched once per body atom, so the
 total work is linear in the program size.
 
-Propositional atoms are *interned* into dense integer ids up front (the
-same representation decision as :mod:`repro.datalog.interning` makes for
-domain elements): the unit-resolution inner loop then walks flat lists
-indexed by atom id -- no re-hashing of the (often large, e.g.
-``Fact``-valued) atoms per propagation step, and the derived set is a
-byte array until it is translated back at the end.
+Propositional atoms arrive as dense integer ids from the solve's
+shared :class:`~repro.datalog.interning.InternPool`: the
+unit-resolution inner loop walks flat lists indexed by atom id, never
+re-hashing an atom, and the derived set is a byte array that the caller
+decodes lazily.
 
 Two consumers sit on top:
 
@@ -29,75 +28,7 @@ Two consumers sit on top:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable
-
-PropAtom = Hashable
-
-
-@dataclass(frozen=True)
-class GroundRule:
-    """``head <- body`` over opaque propositional atoms."""
-
-    head: PropAtom
-    body: tuple[PropAtom, ...] = ()
-
-    def __str__(self) -> str:
-        if not self.body:
-            return f"{self.head}."
-        return f"{self.head} :- {', '.join(map(str, self.body))}."
-
-
-def horn_least_model(rules: Iterable[GroundRule]) -> set[PropAtom]:
-    """The least model of a set of ground Horn rules.
-
-    Dowling-Gallier / LTUR: O(total size of the rules).  Atoms are
-    interned to dense ids once; propagation is pure integer work.
-    """
-    ids: dict[PropAtom, int] = {}
-    atoms: list[PropAtom] = []
-    waiting: list[list[int]] = []  # atom id -> rules waiting on it
-    derived = bytearray()  # atom id -> 0/1
-
-    def intern(atom: PropAtom) -> int:
-        ident = ids.get(atom)
-        if ident is None:
-            ident = len(atoms)
-            ids[atom] = ident
-            atoms.append(atom)
-            waiting.append([])
-            derived.append(0)
-        return ident
-
-    heads: list[int] = []  # rule index -> head atom id
-    counters: list[int] = []  # rule index -> unsatisfied body atoms
-    queue: list[int] = []
-
-    for index, rule in enumerate(rules):
-        head_id = intern(rule.head)
-        heads.append(head_id)
-        body_ids = {intern(atom) for atom in rule.body}
-        counters.append(len(body_ids))
-        for body_id in body_ids:
-            waiting[body_id].append(index)
-        if not body_ids and not derived[head_id]:
-            derived[head_id] = 1
-            queue.append(head_id)
-
-    while queue:
-        atom_id = queue.pop()
-        for index in waiting[atom_id]:
-            counters[index] -= 1
-            if counters[index] == 0:
-                head_id = heads[index]
-                if not derived[head_id]:
-                    derived[head_id] = 1
-                    queue.append(head_id)
-    return {atom for atom, flag in zip(atoms, derived) if flag}
-
-
-def horn_entails(rules: Iterable[GroundRule], goal: PropAtom) -> bool:
-    return goal in horn_least_model(rules)
+from typing import Iterable
 
 
 def horn_least_model_ids(
@@ -108,8 +39,8 @@ def horn_least_model_ids(
     The native back half of the interned Theorem 4.4 pipeline: callers
     (:func:`repro.datalog.grounding.ground_program_ids`) already hold
     atoms as dense ids from a shared
-    :class:`~repro.datalog.interning.InternPool`, so unlike
-    :func:`horn_least_model` nothing is hashed here at all -- rules are
+    :class:`~repro.datalog.interning.InternPool`, so nothing is hashed
+    here at all -- rules are
     ``(head_id, body_ids)`` pairs, propagation walks flat lists, and
     the result is the 0/1 flag array ``derived`` indexed by atom id
     (``atom_count`` = pool size; decoding back to facts is the

@@ -1,11 +1,11 @@
 """Set-at-a-time semi-naive evaluation (the default engine).
 
-The tuple-at-a-time evaluator in :mod:`repro.datalog.evaluate` walks a
-rule's join plan one binding dict at a time: every extension copies a
+The ``naive`` oracle in :mod:`repro.datalog.evaluate` walks a rule's
+join plan one binding dict at a time: every extension copies a
 ``Binding`` dict, every head instantiation goes through
 ``Atom.substitute``.  Those per-tuple constant factors are exactly what
 Section 6 of the paper warns decide the practical viability of the
-monadic-datalog route, so this module re-executes the *same* join plans
+monadic-datalog route, so this module executes the *same* join plans
 (:func:`repro.datalog.evaluate.plan_rule` -- planning is shared, only
 execution differs) relation-at-a-time:
 
@@ -22,14 +22,12 @@ execution differs) relation-at-a-time:
 * Relation steps are hash joins at the relation level: the bound
   positions are classified once per step (they are static given the
   plan), one incrementally-maintained index is fetched per step, and
-  the batch probes it row by row.  The tuple engine's per-binding
-  ``Database.match`` (pattern tuple + index resolution per tuple) is
-  gone.
+  the batch probes it row by row, with no per-binding
+  ``Database.match`` (pattern tuple + index resolution per tuple).
 
-Semi-naive control flow (strata, round 0, delta-restricted rounds) is
-byte-for-byte the same shape as :class:`SemiNaiveEvaluator`, so both
-engines derive identical fact sets; the tuple path stays registered as
-the ``semi-naive-tuple`` backend for the ablation benchmark.
+Control flow is stratified semi-naive: per stratum, a round 0 firing
+every rule, then delta-restricted rounds; a nonrecursive stratum
+fires once.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ __all__ = [
     "IndexStats",
     "SetDatabase",
     "SetSemiNaiveEvaluator",
-    "set_least_fixpoint",
+    "least_fixpoint",
 ]
 
 _EMPTY_SET: frozenset = frozenset()
@@ -641,13 +639,11 @@ def _fact_shaped_keys(cstep: _CompiledStep, batch: Batch, consts):
 class SetSemiNaiveEvaluator:
     """Stratified semi-naive evaluation, executed set-at-a-time.
 
-    Drop-in interface match for
-    :class:`repro.datalog.evaluate.SemiNaiveEvaluator`: same
-    constructor, same :meth:`evaluate` contract (returns a value-level
-    :class:`Database` holding extensional plus derived facts), same
-    :class:`EvaluationStats` counters -- except ``rule_firings`` counts
-    batch rows, so duplicate bindings collapsed by a bitset step are
-    counted once.
+    :meth:`evaluate` returns a value-level :class:`Database` holding
+    extensional plus derived facts; :meth:`run` keeps the result
+    interned.  ``stats`` holds the :class:`EvaluationStats` counters
+    -- ``rule_firings`` counts batch rows, so duplicate bindings
+    collapsed by a bitset step are counted once.
     """
 
     def __init__(
@@ -725,7 +721,7 @@ class SetSemiNaiveEvaluator:
             db.use_index_selection(self.prepared.index_selection)
         for stratum_plan in self.prepared.stratum_plans:
             if not any(stratum_plan.recursive_positions):
-                # single-pass route: an SCC-refined nonrecursive
+                # fire-once route: an SCC-refined nonrecursive
                 # stratum never consumes its own output, so one firing
                 # is its fixpoint -- no delta database, no re-fire
                 derived: list[tuple[str, tuple[int, ...]]] = []
@@ -1159,10 +1155,11 @@ class SetSemiNaiveEvaluator:
             out.extend((predicate, args) for args in zip(*sources))
 
 
-def set_least_fixpoint(
+def least_fixpoint(
     program: Program,
     edb: "Database | Iterable[Fact] | Structure",
     registry: BuiltinRegistry | None = None,
 ) -> Database:
-    """Convenience wrapper: set-at-a-time semi-naive least fixpoint."""
+    """Convenience wrapper: the semi-naive least fixpoint of ``P ∪ A``
+    (extensional plus derived facts), set at a time."""
     return SetSemiNaiveEvaluator(program, registry).evaluate(edb)

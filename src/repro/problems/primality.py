@@ -42,7 +42,7 @@ from ..datalog.builtins import (
     standard_registry,
 )
 from ..datalog.backends import ProgramCache, get_backend
-from ..datalog.evaluate import Database, SemiNaiveEvaluator
+from ..datalog.setengine import least_fixpoint
 from ..structures.schema import Attribute, RelationalSchema
 from ..structures.structure import Structure
 from ..treewidth.decomposition import TreeDecomposition
@@ -1080,8 +1080,7 @@ def prime_attributes_datalog(
     """All prime attributes via the Monadic-Primality datalog program."""
     nice = prepare_enumeration_decomposition(schema, td)
     encoded = encode_for_primality(schema, nice)
-    evaluator = SemiNaiveEvaluator(
-        enumeration_program(), primality_registry(schema)
+    db = least_fixpoint(
+        enumeration_program(), encoded, primality_registry(schema)
     )
-    db = evaluator.evaluate(encoded)
     return frozenset(args[0] for args in db.relation("prime"))

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
-from ..datalog.ast import Program, Rule, atom, pos, rule, var
-from ..datalog.builtins import standard_registry
+from ..datalog.ast import Program, atom, pos, rule, var
 from ..datalog.backends import solve as backend_solve
-from ..datalog.evaluate import Database, SemiNaiveEvaluator
+from ..datalog.evaluate import Database
 from ..datalog.magic import adorned_base, is_magic_predicate
 from ..structures.graphs import Graph, graph_to_structure
-from ..structures.structure import Fact, Structure
+from ..structures.structure import Structure
 from ..treewidth.decomposition import TreeDecomposition
 from ..treewidth.encode import TDNode, encode_nice
 from ..treewidth.heuristics import decompose_graph

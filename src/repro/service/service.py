@@ -80,7 +80,7 @@ import threading
 import time
 import traceback
 from multiprocessing.connection import wait as _pipe_wait
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
@@ -108,6 +108,11 @@ __all__ = [
 
 #: exit code of a fault-injected worker crash (``crash@worker.solve``)
 FAULT_CRASH_EXIT = 43
+
+#: most quarantined fingerprints kept at once; past it the least
+#: recently submitted record is evicted, so a stream of distinct
+#: poison or rejected inputs cannot grow the service's memory
+QUARANTINE_CAPACITY = 1024
 
 
 class ServiceClosed(RuntimeError):
@@ -190,8 +195,10 @@ class ServiceStats:
     poisoned: int = 0
     #: submissions fast-failed because their fingerprint is quarantined
     quarantine_rejections: int = 0
-    #: current quarantine population
+    #: current quarantine population (at most ``QUARANTINE_CAPACITY``)
     quarantine_size: int = 0
+    #: records evicted because the quarantine was full
+    quarantine_evictions: int = 0
     #: requests failed with :class:`repro.datalog.BudgetExceeded`
     budget_exceeded: int = 0
     #: over-budget requests answered by the fallback backend
@@ -739,7 +746,8 @@ class SolverService:
         self._queued = 0  # requests in _pending + undispatched _shards
         self._payloads: dict[str, bytes] = {}
         self._handles: dict[str, ProgramHandle] = {}
-        self._quarantine: dict[str, QuarantineRecord] = {}
+        #: fingerprint -> record, least recently submitted first
+        self._quarantine: OrderedDict[str, QuarantineRecord] = OrderedDict()
         self._shard_seq = itertools.count(1)
         self._worker_seq = itertools.count(1)
         self._closed = False
@@ -979,6 +987,7 @@ class SolverService:
             if self._quarantine:
                 record = self._quarantine.get(request.fingerprint)
                 if record is not None:
+                    self._quarantine.move_to_end(request.fingerprint)
                     record.rejections += 1
                     self.stats.quarantine_rejections += 1
                     if record.reason == "admission" and record.error is not None:
@@ -1483,28 +1492,40 @@ class SolverService:
         worker every time."""
         fingerprint = request.fingerprint
         if fingerprint not in self._quarantine:
-            self._quarantine[fingerprint] = QuarantineRecord(
-                fingerprint=fingerprint,
-                program_key=key,
-                crashes=request.crashes,
-                history=tuple(request.history),
-                reason="admission",
-                error=exc,
+            self._quarantine_locked(
+                QuarantineRecord(
+                    fingerprint=fingerprint,
+                    program_key=key,
+                    crashes=request.crashes,
+                    history=tuple(request.history),
+                    reason="admission",
+                    error=exc,
+                )
             )
-            self.stats.quarantine_size = len(self._quarantine)
+
+    def _quarantine_locked(self, record: QuarantineRecord) -> None:
+        """Insert a record, evicting the least recently submitted ones
+        past :data:`QUARANTINE_CAPACITY`."""
+        quarantine = self._quarantine
+        quarantine[record.fingerprint] = record
+        while len(quarantine) > QUARANTINE_CAPACITY:
+            quarantine.popitem(last=False)
+            self.stats.quarantine_evictions += 1
+        self.stats.quarantine_size = len(quarantine)
 
     def _poison_locked(self, request: _Request, key: str) -> PoisonInput:
         fingerprint = request.fingerprint
         history = tuple(request.history)
         if fingerprint not in self._quarantine:
-            self._quarantine[fingerprint] = QuarantineRecord(
-                fingerprint=fingerprint,
-                program_key=key,
-                crashes=request.crashes,
-                history=history,
+            self._quarantine_locked(
+                QuarantineRecord(
+                    fingerprint=fingerprint,
+                    program_key=key,
+                    crashes=request.crashes,
+                    history=history,
+                )
             )
             self.stats.poisoned += 1
-            self.stats.quarantine_size = len(self._quarantine)
         self.stats.failed += 1
         return PoisonInput(
             f"structure {fingerprint} crashed its worker "

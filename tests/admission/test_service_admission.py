@@ -4,11 +4,13 @@ worker or hang a future."""
 
 import pytest
 
-from repro.admission import load_corpus
+from repro.admission import load_corpus, structure_from_spec
 from repro.errors import AdmissionRejected
 from repro.mso import formulas, query as mso_query
 from repro.service import SolverService
+from repro.service import service as service_module
 from repro.structures import GRAPH_SIGNATURE, Structure
+from repro.structures.structure import structure_fingerprint
 
 from .conftest import CORPUS_DIR
 from .test_verify import path_structure
@@ -76,6 +78,41 @@ class TestServiceAdmission:
             # evicting re-opens the door
             assert service.evict_quarantine(records[0].fingerprint) == 1
             assert service.quarantined() == ()
+
+    def test_quarantine_is_capped_with_lru_eviction(
+        self, neighbor_solver, monkeypatch
+    ):
+        """More distinct rejected fingerprints than the cap: the
+        quarantine stays at the cap and counts what it evicted."""
+        cap = 4
+        monkeypatch.setattr(service_module, "QUARANTINE_CAPACITY", cap)
+        rejected = [
+            structure_from_spec(
+                {
+                    "signature": {"e": 2},
+                    "domain": [0, 1],
+                    "relations": {"e": [[0, 100 + i], [100 + i, 0]]},
+                }
+            )
+            for i in range(3 * cap)
+        ]
+        with SolverService(workers=1, admission="degrade") as service:
+            handle = service.register(neighbor_solver)
+            sizes = []
+            for structure in rejected:
+                (result,) = handle.solve_many([structure], timeout=120)
+                assert isinstance(result, AdmissionRejected)
+                sizes.append(service.stats.quarantine_size)
+            records = service.quarantined()
+            stats = service.stats
+        assert sizes == [min(i + 1, cap) for i in range(len(rejected))]
+        assert stats.quarantine_size == cap
+        assert stats.quarantine_evictions == len(rejected) - cap
+        assert stats.admission_rejected == len(rejected)
+        # the survivors are the most recently submitted fingerprints
+        assert [r.fingerprint for r in records] == [
+            structure_fingerprint(s) for s in rejected[-cap:]
+        ]
 
     def test_invalid_service_policy_rejected(self):
         with pytest.raises(ValueError, match="admission policy"):

@@ -50,23 +50,29 @@ def _bench_module():
     return module
 
 
-def _runs(streamed_ms, eager_ms, raw_ms, pruned=100):
+def _runs(streamed_ms, eager_ms, pruned=100):
     return {
         "quasi-guarded": {
             "ms": streamed_ms,
+            "ground_rules": 50,
+            "bindings_explored": 400,
             "rules_pruned": pruned,
             "peak_live_rules": 10,
         },
-        "quasi-guarded-eager": {"ms": eager_ms},
-        "quasi-guarded-raw": {"ms": raw_ms},
+        "quasi-guarded-eager": {
+            "ms": eager_ms,
+            "ground_rules": 90,
+            "bindings_explored": 900,
+        },
     }
 
 
 class TestEngineBaseline:
     """The checked-in BENCH_engine.json baseline and the CI gate logic
-    around its quasi-guarded solver entries (schema v6: streamed vs
-    eager vs raw, the solve_many shard record, the planner section, and
-    the service sections owned by bench_solver_service.py)."""
+    around its quasi-guarded solver entries (schema v9: streamed vs
+    eager with regression gates against the baseline, the solve_many
+    shard record, the planner section, and the service sections owned
+    by bench_solver_service.py)."""
 
     @pytest.fixture(scope="class")
     def payload(self):
@@ -74,7 +80,7 @@ class TestEngineBaseline:
 
     def test_schema_version(self, payload):
         bench = _bench_module()
-        assert payload["schema"] == "bench-engine/v8"
+        assert payload["schema"] == "bench-engine/v9"
         assert payload["schema"] == bench.SCHEMA_VERSION
         assert payload["benchmark"] == "benchmarks/bench_datalog_engine.py"
 
@@ -94,8 +100,7 @@ class TestEngineBaseline:
             if name.startswith("solve-grid2x-"):
                 # the width-2 Theorem 4.5 workload runs the streamed
                 # production form plus the passes=() ablation (the
-                # eager/raw forms ground the full 1.4M-rule cross
-                # product)
+                # eager form grounds the full 1.4M-rule cross product)
                 assert set(backends) == {
                     "quasi-guarded",
                     "quasi-guarded-nopasses",
@@ -104,12 +109,13 @@ class TestEngineBaseline:
                 assert set(backends) == {
                     "quasi-guarded",
                     "quasi-guarded-eager",
-                    "quasi-guarded-raw",
                 }
             for run in backends.values():
                 assert run["ms"] > 0, name
                 assert run["answers"] > 0, name
                 assert run["ground_rules"] > 0, name
+                # the regression gate's deterministic work counter
+                assert run["bindings_explored"] > 0, name
             streamed = backends["quasi-guarded"]
             assert streamed["rules_pruned"] > 0 or name.startswith(
                 "solve-grid-"
@@ -117,15 +123,11 @@ class TestEngineBaseline:
             assert streamed["peak_live_rules"] >= 0, name
             if "quasi-guarded-eager" not in backends:
                 continue
-            # the three pipelines agreed when the baseline was written
+            # the two pipelines agreed when the baseline was written,
+            # and the streamed emitter instantiates at most the eager
+            # ground program
             eager = backends["quasi-guarded-eager"]
-            raw = backends["quasi-guarded-raw"]
-            assert (
-                streamed["answers"] == eager["answers"] == raw["answers"]
-            ), name
-            # eager and raw materialize the same ground program; the
-            # streamed emitter instantiates at most that many rules
-            assert eager["ground_rules"] == raw["ground_rules"], name
+            assert streamed["answers"] == eager["answers"], name
             assert streamed["ground_rules"] <= eager["ground_rules"], name
 
     def test_recorded_speedups_meet_the_gates(self, payload):
@@ -152,14 +154,14 @@ class TestEngineBaseline:
     def test_solver_contract_gate_fires_below_2x_on_tree(self):
         bench = _bench_module()
         failures = bench.check_solver_contracts(
-            "solve-tree-100", _runs(10.0, 15.0, 30.0)
+            "solve-tree-100", _runs(10.0, 15.0)
         )
         assert any("2x" in f for f in failures)
 
     def test_solver_contract_gate_fires_below_1_3x_on_chain(self):
         bench = _bench_module()
         failures = bench.check_solver_contracts(
-            "solve-chain-120", _runs(10.0, 12.0, 30.0)
+            "solve-chain-120", _runs(10.0, 12.0)
         )
         assert any("1.3x" in f for f in failures)
 
@@ -181,35 +183,74 @@ class TestEngineBaseline:
         bench = _bench_module()
         assert (
             bench.check_solver_contracts(
-                "solve-chain-120", _runs(5.0, 15.0, 30.0)
+                "solve-chain-120", _runs(5.0, 15.0)
             )
             == []
         )
 
-    def test_solver_contract_gate_rejects_streamed_slower_than_raw(self):
+    def test_solver_regression_gate_bounds_timing_drift(self):
         bench = _bench_module()
+        baseline = _runs(5.0, 3.0)
+        assert bench.check_solver_contracts(
+            "solve-grid-8", _runs(5.0, 3.0), baseline
+        ) == []
+        # the fully-live grid DP has no ratio gate: streamed may trail
+        # eager, but not drift past its own baseline
+        slow = 5.0 * bench.TIMING_DRIFT + 1
         failures = bench.check_solver_contracts(
-            "solve-grid-8", _runs(40.0, 15.0, 30.0)
+            "solve-grid-8", _runs(slow, 3.0), baseline
         )
-        assert any("slower" in f for f in failures)
+        assert len(failures) == 1
+        assert "quasi-guarded:" in failures[0]
+        assert f"{bench.TIMING_DRIFT:g}x" in failures[0]
 
     def test_solver_contract_gate_requires_pruning(self):
         bench = _bench_module()
         failures = bench.check_solver_contracts(
-            "solve-tree-100", _runs(5.0, 15.0, 30.0, pruned=0)
+            "solve-tree-100", _runs(5.0, 15.0, pruned=0)
         )
         assert any("pruned no rules" in f for f in failures)
 
-    def test_solver_contract_gate_keeps_eager_vs_raw_on_grid(self):
+    def test_solver_regression_gate_pins_counters(self):
         bench = _bench_module()
+        baseline = _runs(5.0, 3.0)
+        drifted = _runs(5.0, 3.0)
+        drifted["quasi-guarded-eager"]["bindings_explored"] += 1
+        drifted["quasi-guarded"]["peak_live_rules"] += 1
         failures = bench.check_solver_contracts(
-            "solve-grid-8", _runs(5.0, 20.0, 30.0)
+            "solve-grid-8", drifted, baseline
         )
-        assert any("2x" in f for f in failures)
+        assert len(failures) == 2
+        assert any(
+            "quasi-guarded-eager: bindings_explored" in f for f in failures
+        )
+        assert any("quasi-guarded: peak_live_rules" in f for f in failures)
+        # an arm absent from the baseline is the drift gate's concern
+        assert bench.check_regression("x", {"ms": 1e9}, None, ()) == []
+
+    def test_engine_regression_gate_pins_counters(self):
+        bench = _bench_module()
+        run = {"ms": 10.0, "facts_derived": 4950, "rule_firings": 4950}
+        assert bench.check_regression(
+            "chain-100/semi-naive", run, dict(run), bench.ENGINE_COUNTERS
+        ) == []
+        off = dict(run, rule_firings=4951)
+        failures = bench.check_regression(
+            "chain-100/semi-naive", off, run, bench.ENGINE_COUNTERS
+        )
+        assert failures and "rule_firings" in failures[0]
+        # counters only: a slower engine run is not gated here
+        assert bench.check_regression(
+            "chain-100/naive",
+            dict(run, ms=1e6),
+            run,
+            bench.ENGINE_COUNTERS,
+            timed=False,
+        ) == []
 
     def test_quick_run_exercises_the_solver_gate(self):
-        """The CI --quick invocation must include all three workload
-        families, so every gate is actually exercised."""
+        """The CI --quick invocation must include every workload
+        family, so every gate is actually exercised."""
         bench = _bench_module()
         names = [w["name"] for w in bench.solver_workloads(quick=True)]
         assert any(n.startswith("solve-grid-") for n in names)
@@ -223,7 +264,7 @@ class TestBaselineDrift:
     checked-in BENCH_engine.json."""
 
     @staticmethod
-    def _payload(schema="bench-engine/v8", quick=True):
+    def _payload(schema="bench-engine/v9", quick=True):
         return {
             "schema": schema,
             "quick": quick,
@@ -232,7 +273,6 @@ class TestBaselineDrift:
                 "solve-chain-120": {
                     "quasi-guarded": {},
                     "quasi-guarded-eager": {},
-                    "quasi-guarded-raw": {},
                 }
             },
             "planner": {"skew-join": {}, "nested-sigs": {}},

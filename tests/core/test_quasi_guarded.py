@@ -3,8 +3,7 @@
 import pytest
 
 from repro.core import QuasiGuardedEvaluator
-from repro.datalog import Database, least_fixpoint, parse_program
-from repro.structures import Fact
+from repro.datalog import Database, naive_least_fixpoint, parse_program
 
 
 def tree_db():
@@ -47,7 +46,7 @@ class TestEvaluator:
     def test_matches_semi_naive(self):
         evaluator = QuasiGuardedEvaluator(PROG, bag_arity=3)
         result = evaluator.evaluate(tree_db())
-        reference = least_fixpoint(PROG, tree_db())
+        reference = naive_least_fixpoint(PROG, tree_db())
         for predicate in ("t", "ok"):
             assert {
                 f.args for f in result.facts if f.predicate == predicate
@@ -62,40 +61,23 @@ class TestEvaluator:
         assert result.unary_answers("t") == frozenset({"n0", "n1", "n2"})
         assert result.ground_rules == 4
 
-    def test_all_three_modes_agree(self):
-        results = {
-            mode: QuasiGuardedEvaluator(
-                PROG, bag_arity=3, mode=mode
-            ).evaluate(tree_db())
-            for mode in ("streamed", "eager", "raw")
-        }
-        reference = results["eager"]
-        for mode, result in results.items():
-            assert result.facts == reference.facts, mode
-            assert result.unary_answers("t") == reference.unary_answers(
-                "t"
-            ), mode
-        # eager and raw materialize the same ground program; on this
-        # fully-live program the streamed emitter matches it too
-        assert (
-            results["eager"].ground_rules == results["raw"].ground_rules
+    def test_streamed_and_eager_modes_agree(self):
+        streamed = QuasiGuardedEvaluator(PROG, bag_arity=3).evaluate(
+            tree_db()
         )
-        assert results["streamed"].ground_rules <= (
-            results["eager"].ground_rules
-        )
+        eager = QuasiGuardedEvaluator(
+            PROG, bag_arity=3, mode="eager"
+        ).evaluate(tree_db())
+        assert streamed.facts == eager.facts
+        assert streamed.unary_answers("t") == eager.unary_answers("t")
+        # on this fully-live program the streamed emitter instantiates
+        # no more than the eager ground program
+        assert streamed.ground_rules <= eager.ground_rules
 
-    def test_default_mode_is_streamed_and_legacy_flag_maps_to_raw(self):
+    def test_default_mode_is_streamed(self):
         assert QuasiGuardedEvaluator(PROG, bag_arity=3).mode == "streamed"
-        assert (
-            QuasiGuardedEvaluator(PROG, bag_arity=3, interned=False).mode
-            == "raw"
-        )
-        with pytest.raises(ValueError, match="contradicts"):
-            QuasiGuardedEvaluator(
-                PROG, bag_arity=3, mode="streamed", interned=False
-            )
         with pytest.raises(ValueError, match="unknown mode"):
-            QuasiGuardedEvaluator(PROG, bag_arity=3, mode="batched")
+            QuasiGuardedEvaluator(PROG, bag_arity=3, mode="raw")
 
     def test_demand_requires_streamed_mode(self):
         with pytest.raises(ValueError, match="streamed"):
@@ -124,8 +106,8 @@ class TestEvaluator:
             ("n2",),
         }
 
-    @pytest.mark.parametrize("interned", [True, False])
-    def test_unary_answers_validates_arity(self, interned):
+    @pytest.mark.parametrize("eager", [True, False])
+    def test_unary_answers_validates_arity(self, eager):
         """A non-unary fact under the queried predicate must raise, not
         be silently truncated to its first argument."""
         binary = parse_program(
@@ -134,17 +116,16 @@ class TestEvaluator:
             pair(V, X0) :- bag(V, X0, X1), t(V).
             """
         )
-        evaluator = QuasiGuardedEvaluator(
-            binary, bag_arity=3, interned=interned
-        )
+        mode = "eager" if eager else "streamed"
+        evaluator = QuasiGuardedEvaluator(binary, bag_arity=3, mode=mode)
         result = evaluator.evaluate(tree_db())
         assert result.holds("pair", "n2", "c")
         with pytest.raises(ValueError, match="arity 2, not 1"):
             result.unary_answers("pair")
         # nullary facts are rejected the same way
-        full = QuasiGuardedEvaluator(
-            PROG, bag_arity=3, interned=interned
-        ).evaluate(tree_db())
+        full = QuasiGuardedEvaluator(PROG, bag_arity=3, mode=mode).evaluate(
+            tree_db()
+        )
         with pytest.raises(ValueError, match="arity 0, not 1"):
             full.unary_answers("ok")
         # absent predicates simply have no answers

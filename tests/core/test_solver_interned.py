@@ -1,12 +1,12 @@
 """End-to-end regression tests for the fully interned solve pipeline.
 
-The quasi-guarded default of :class:`CourcelleSolver` now threads one
+The quasi-guarded backends of :class:`CourcelleSolver` thread one
 shared intern pool from structure load through grounding, unit
-resolution, and (lazy) answer decoding; the PR 2-era raw-value pipeline
-survives as ``backend="quasi-guarded-raw"``.  These tests pin down that
-the switch changed *nothing observable*: identical ``unary_answers`` on
-3-coloring and primality instances, and exactly one interning context
-per solve.
+resolution, and (lazy) answer decoding.  These tests pin down that
+interning changes *nothing observable* -- ``unary_answers`` on
+3-coloring and primality instances equal direct MSO evaluation and
+the elements of the schema structure -- and that there is exactly one
+interning context per solve.
 
 Scope note: the generic Theorem 4.5 compiler's practical envelope is
 width 1 (wider signatures blow past its witness limits), so the
@@ -57,11 +57,7 @@ class TestThreeColoringInstances:
                 structure_filter=undirected_graph_filter,
                 backend=backend,
             )
-            for backend in (
-                "quasi-guarded",
-                "quasi-guarded-eager",
-                "quasi-guarded-raw",
-            )
+            for backend in ("quasi-guarded", "quasi-guarded-eager")
         }
         rng = random.Random(0x3C01)
         for _ in range(4):
@@ -69,9 +65,7 @@ class TestThreeColoringInstances:
             s = graph_to_structure(graph)
             streamed = solvers["quasi-guarded"].query(s, td)
             eager = solvers["quasi-guarded-eager"].query(s, td)
-            raw = solvers["quasi-guarded-raw"].query(s, td)
-            assert streamed == eager == raw
-            assert streamed == direct_query(s, formula, "x")
+            assert streamed == eager == direct_query(s, formula, "x")
 
 
 class TestPrimalityInstances:
@@ -95,17 +89,16 @@ class TestPrimalityInstances:
         encoded = encode_normalized(structure, normalize(td))
         program = atd_cover_program(td.width + 2)
         dependencies = td_key_dependencies(td.width + 2)
-        answers = {}
-        for interned in (True, False):
+        for mode in ("streamed", "eager"):
             evaluator = QuasiGuardedEvaluator(
-                program, dependencies=dependencies, interned=interned
+                program, dependencies=dependencies, mode=mode
             )
             result = evaluator.evaluate(encoded)
             assert result.holds("ok")
-            answers[interned] = result.unary_answers("covered")
-        assert answers[True] == answers[False]
-        # every element of the schema structure occurs in some bag
-        assert answers[True] == frozenset(structure.domain)
+            # every element of the schema structure occurs in some bag
+            assert result.unary_answers("covered") == frozenset(
+                structure.domain
+            )
 
 
 class TestOneInternPoolPerSolve:

@@ -42,21 +42,11 @@ TC = parse_program(TC_TEXT)
 
 class TestRegistry:
     def test_shipped_backends(self):
-        assert {
-            "naive",
-            "semi-naive",
-            "semi-naive-tuple",
-            "magic",
-        } <= set(available_backends())
+        assert {"naive", "semi-naive", "magic"} <= set(available_backends())
 
     def test_get_backend_instances(self):
-        from repro.datalog import TupleSemiNaiveBackend
-
         assert isinstance(get_backend("naive"), NaiveBackend)
         assert isinstance(get_backend("semi-naive"), SemiNaiveBackend)
-        assert isinstance(
-            get_backend("semi-naive-tuple"), TupleSemiNaiveBackend
-        )
         assert isinstance(get_backend("magic"), MagicSetBackend)
 
     def test_unknown_backend_is_an_error(self):

@@ -112,7 +112,7 @@ class TestSolverBudgetThreading:
 
     @pytest.mark.parametrize(
         "backend",
-        ["quasi-guarded", "quasi-guarded-eager", "quasi-guarded-raw"],
+        ["quasi-guarded", "quasi-guarded-eager"],
     )
     def test_ground_rule_cap_trips_in_every_mode(self, backend):
         solver = CourcelleSolver(
@@ -172,7 +172,7 @@ class TestWithBackend:
 
     @pytest.mark.parametrize(
         "backend",
-        ["quasi-guarded-eager", "quasi-guarded-raw", "semi-naive"],
+        ["quasi-guarded-eager", "semi-naive"],
     )
     def test_fallback_conformance(self, solver, backend):
         # the sibling must answer exactly like the primary on in-budget

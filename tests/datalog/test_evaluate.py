@@ -8,6 +8,7 @@ from repro.datalog import (
     NotStratifiableError,
     Program,
     SemiNaiveEvaluator,
+    SetSemiNaiveEvaluator,
     UnsafeRuleError,
     atom,
     least_fixpoint,
@@ -228,7 +229,7 @@ class TestDatabase:
 
 class TestStats:
     def test_stats_populated(self):
-        evaluator = SemiNaiveEvaluator(TC)
+        evaluator = SetSemiNaiveEvaluator(TC)
         evaluator.evaluate(edge_db([(1, 2), (2, 3)]))
         assert evaluator.stats.facts_derived == 3
         assert evaluator.stats.rule_firings >= 3

@@ -9,12 +9,10 @@ now always picks the most-bound relation atom next.
 """
 
 from repro.datalog import Database, parse_program
-from repro.datalog.grounding import (
-    GroundingStats,
-    _plan_extensional,
-    ground_program,
-)
+from repro.datalog.grounding import GroundingStats, _plan_extensional
 from repro.datalog.builtins import standard_registry
+
+from .test_grounding import ground_program
 
 
 def down_branch_style_rule():
@@ -81,9 +79,9 @@ class TestPlanOrder:
         db.add("child1", ("b", "a"))
         db.add("child2", ("c", "a"))
         rules = ground_program(program, db)
-        down_rules = [r for r in rules if r.head.predicate == "down"]
+        down_rules = [r for r in rules if r[0].predicate == "down"]
         assert len(down_rules) == 1
-        (rule,) = down_rules
-        assert rule.head.args == ("c",)
-        body_preds = {f.predicate for f in rule.body}
+        ((head, body),) = down_rules
+        assert head.args == ("c",)
+        body_preds = {f.predicate for f in body}
         assert body_preds == {"up"}

@@ -2,56 +2,74 @@
 
 from hypothesis import given, strategies as st
 
-from repro.datalog import (
-    GroundRule,
-    StreamingHorn,
-    horn_entails,
-    horn_least_model,
-    horn_least_model_ids,
-)
+from repro.datalog import InternPool, StreamingHorn, horn_least_model_ids
+from repro.structures import Fact
+
+
+def least_model(rules):
+    """LTUR over ``(head, body)`` rules of named propositional atoms:
+    the names are interned through an :class:`InternPool` (as the
+    grounder does), solved over ids, and decoded back."""
+    pool = InternPool()
+    id_rules = [
+        (pool.atom_id(head, ()), tuple(pool.atom_id(b, ()) for b in body))
+        for head, body in rules
+    ]
+    flags = horn_least_model_ids(id_rules, len(pool))
+    return {pool.atom_of(i)[0] for i, flag in enumerate(flags) if flag}
 
 
 class TestLeastModel:
     def test_facts_only(self):
-        model = horn_least_model([GroundRule("a"), GroundRule("b")])
-        assert model == {"a", "b"}
+        assert least_model([("a", ()), ("b", ())]) == {"a", "b"}
 
     def test_chain(self):
-        rules = [GroundRule("a")] + [
-            GroundRule(chr(ord("a") + i + 1), (chr(ord("a") + i),))
-            for i in range(5)
+        rules = [("a", ())] + [
+            (chr(ord("a") + i + 1), (chr(ord("a") + i),)) for i in range(5)
         ]
-        assert horn_least_model(rules) == set("abcdef")
+        assert least_model(rules) == set("abcdef")
 
     def test_conjunction_waits_for_all(self):
-        rules = [GroundRule("c", ("a", "b")), GroundRule("a")]
-        assert horn_least_model(rules) == {"a"}
-        rules.append(GroundRule("b"))
-        assert horn_least_model(rules) == {"a", "b", "c"}
+        rules = [("c", ("a", "b")), ("a", ())]
+        assert least_model(rules) == {"a"}
+        rules.append(("b", ()))
+        assert least_model(rules) == {"a", "b", "c"}
 
     def test_cycle_not_self_supporting(self):
-        rules = [GroundRule("a", ("b",)), GroundRule("b", ("a",))]
-        assert horn_least_model(rules) == set()
+        rules = [("a", ("b",)), ("b", ("a",))]
+        assert least_model(rules) == set()
 
     def test_duplicate_body_atoms(self):
-        rules = [GroundRule("b", ("a", "a")), GroundRule("a")]
-        assert horn_least_model(rules) == {"a", "b"}
+        rules = [("b", ("a", "a")), ("a", ())]
+        assert least_model(rules) == {"a", "b"}
 
     def test_empty(self):
-        assert horn_least_model([]) == set()
+        assert least_model([]) == set()
+        assert horn_least_model_ids([], 0) == bytearray()
 
     def test_entails(self):
-        rules = [GroundRule("a"), GroundRule("b", ("a",))]
-        assert horn_entails(rules, "b")
-        assert not horn_entails(rules, "c")
+        rules = [("a", ()), ("b", ("a",))]
+        model = least_model(rules)
+        assert "b" in model
+        assert "c" not in model
 
     def test_atoms_may_be_any_hashable(self):
-        from repro.structures import Fact
+        """Value-level facts round-trip: interned into the pool, solved
+        as ids, decoded back to the same facts."""
+        pool = InternPool()
+        intern = pool.interner.intern
+
+        def atom_id(fact):
+            return pool.atom_id(
+                fact.predicate, tuple(intern(v) for v in fact.args)
+            )
 
         head = Fact("p", (1,))
-        body = Fact("q", (2,))
-        rules = [GroundRule(head, (body,)), GroundRule(body)]
-        assert horn_least_model(rules) == {head, body}
+        body = Fact("q", ("two",))
+        rules = [(atom_id(head), (atom_id(body),)), (atom_id(body), ())]
+        flags = horn_least_model_ids(rules, len(pool))
+        derived = {pool.decode_atom(i) for i, f in enumerate(flags) if f}
+        assert derived == {head, body}
 
 
 def naive_least_model(rules):
@@ -59,9 +77,9 @@ def naive_least_model(rules):
     changed = True
     while changed:
         changed = False
-        for r in rules:
-            if r.head not in derived and all(b in derived for b in r.body):
-                derived.add(r.head)
+        for head, body in rules:
+            if head not in derived and all(b in derived for b in body):
+                derived.add(head)
                 changed = True
     return derived
 
@@ -70,14 +88,15 @@ def naive_least_model(rules):
     st.lists(
         st.tuples(
             st.integers(0, 8),
-            st.lists(st.integers(0, 8), max_size=3),
+            st.lists(st.integers(0, 8), max_size=3).map(tuple),
         ),
         max_size=25,
     )
 )
-def test_ltur_equals_naive_fixpoint(raw_rules):
-    rules = [GroundRule(h, tuple(b)) for h, b in raw_rules]
-    assert horn_least_model(rules) == naive_least_model(rules)
+def test_ltur_equals_naive_fixpoint(rules):
+    flags = horn_least_model_ids(rules, 9)
+    derived = {i for i, flag in enumerate(flags) if flag}
+    assert derived == naive_least_model(rules)
 
 
 _ID_RULES = st.lists(

@@ -1,40 +1,24 @@
-"""Program-shrinking passes (ROADMAP D): folding + recursion elimination.
+"""The program-shrinking pass (ROADMAP D): class folding.
 
-The property tests here are the soundness half of the pass pipeline:
+The property tests here are the soundness half of the pass:
+:func:`repro.core.typealg.fold_partition` claims merged classes are
+observationally equivalent on realized entries and that folding only
+ever merges (never splits) the input partition.
 
-* :func:`repro.datalog.passes.bounded_predicates` claims every bounded
-  predicate stabilizes within its depth bound on *every* database --
-  cross-checked by brute-force round-by-round naive fixpoint on random
-  programs and databases;
-* :func:`repro.datalog.passes.eliminate_recursion` claims the least
-  model restricted to surviving predicates is unchanged -- checked
-  differentially on the same random inputs;
-* :func:`repro.core.typealg.fold_partition` claims merged classes are
-  observationally equivalent on realized entries and that folding only
-  ever merges (never splits) the input partition.
-
-The compiled-program end (folded == unfolded == unminimized answers on
+The compiled-program end (folded == fold-free == unminimized answers on
 ladder and random structures) lives in the no-silent-skip conformance
 suite, ``test_conformance.py::TestCompiledWidth2Conformance``.
 """
 
-import itertools
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core.typealg import fold_partition
-from repro.datalog import Database, Program, Rule, parse_program, solve
-from repro.datalog.ast import Constant, Variable
 from repro.datalog.passes import (
     DEFAULT_PASSES,
     KNOWN_PASSES,
-    bounded_predicates,
-    eliminate_recursion,
     normalize_passes,
     strongly_connected_components,
 )
-
-from ..conftest import datalog_databases, datalog_programs
 
 import pytest
 
@@ -44,7 +28,7 @@ class TestNormalizePasses:
         assert normalize_passes(None) == DEFAULT_PASSES
 
     def test_order_and_duplicates_are_canonicalized(self):
-        assert normalize_passes(("unfold", "fold", "fold")) == KNOWN_PASSES
+        assert normalize_passes(("fold", "fold")) == KNOWN_PASSES
 
     def test_empty_is_the_ablation(self):
         assert normalize_passes(()) == ()
@@ -72,150 +56,6 @@ class TestStronglyConnectedComponents:
         }
         # dependencies first: the cycle precedes its consumer
         assert comps.index(("c",)) == 1
-
-
-class TestBoundedPredicates:
-    def test_nonrecursive_chain_depths(self):
-        program = parse_program(
-            """
-            a(X) :- color(X).
-            b(X) :- a(X), edge(X, Y).
-            c(X) :- b(X), a(X).
-            """
-        )
-        assert bounded_predicates(program) == {"a": 1, "b": 2, "c": 3}
-
-    def test_recursion_and_its_consumers_are_unbounded(self):
-        program = parse_program(
-            """
-            path(X, Y) :- edge(X, Y).
-            path(X, Y) :- path(X, Z), edge(Z, Y).
-            reach(X) :- path(X, Y).
-            base(X) :- color(X).
-            """
-        )
-        assert bounded_predicates(program) == {"base": 1}
-
-    def test_self_loop_is_unbounded(self):
-        program = parse_program("q(X) :- q(X), color(X).")
-        assert bounded_predicates(program) == {}
-
-
-def _naive_rounds(program: Program, edb: Database):
-    """Round-by-round naive fixpoint by brute-force substitution.
-
-    Independent of every production evaluator on purpose: yields the
-    database after each round, where round ``t`` holds exactly the
-    facts with some derivation tree of depth <= ``t``.
-    """
-    domain = sorted(
-        {v for rel in (edb.relation(p) for p in edb.predicates()) for t in rel for v in t}
-    )
-    db = Database.from_facts(edb.facts())
-
-    def matches(rule: Rule, current: Database):
-        variables = sorted(rule.variables(), key=lambda v: v.name)
-        for values in itertools.product(domain, repeat=len(variables)):
-            binding = dict(zip(variables, values))
-
-            def ground(atom):
-                return tuple(
-                    binding[a] if isinstance(a, Variable) else a.value
-                    for a in atom.args
-                )
-
-            ok = True
-            for literal in rule.body:
-                holds = current.contains(
-                    literal.atom.predicate, ground(literal.atom)
-                )
-                if holds != literal.positive:
-                    ok = False
-                    break
-            if ok:
-                yield ground(rule.head)
-
-    while True:
-        snapshot = Database.from_facts(db.facts())
-        new = []
-        for rule in program.rules:
-            for args in matches(rule, snapshot):
-                new.append((rule.head.predicate, args))
-        changed = False
-        for predicate, args in new:
-            changed |= db.add(predicate, args)
-        yield db
-        if not changed:
-            return
-
-
-@settings(max_examples=40, deadline=None)
-@given(program=datalog_programs(), edb=datalog_databases())
-def test_bounded_predicates_stabilize_within_their_depth(program, edb):
-    """Soundness of the detector, by brute force: a predicate reported
-    bounded with depth ``d`` must have its full relation after ``d``
-    naive rounds -- on every random database, not just friendly ones."""
-    bounded = bounded_predicates(program)
-    history = list(_naive_rounds(program, edb))
-    final = history[-1]
-    for predicate, depth in bounded.items():
-        at_depth = history[min(depth, len(history)) - 1]
-        assert at_depth.relation(predicate) == final.relation(predicate)
-
-
-@settings(max_examples=40, deadline=None)
-@given(program=datalog_programs(), edb=datalog_databases())
-def test_eliminate_recursion_preserves_surviving_relations(program, edb):
-    """Positive unfold/fold equivalence, differentially: the unfolded
-    program's least model agrees with the original on every predicate
-    that survived the pass."""
-    unfolded, report = eliminate_recursion(program)
-    assert report.rules_after <= report.rules_before
-    assert set(report.inlined) <= {p for p, _ in report.bounded}
-    original = solve(program, Database.from_facts(edb.facts()))
-    shrunk = solve(unfolded, Database.from_facts(edb.facts()))
-    surviving = unfolded.intensional_predicates()
-    assert surviving == program.intensional_predicates() - set(
-        report.inlined
-    )
-    for predicate in surviving:
-        assert shrunk.relation(predicate) == original.relation(predicate)
-    # the inlined predicates are really gone from the program text
-    for rule in unfolded.rules:
-        assert rule.head.predicate not in report.inlined
-        for literal in rule.body:
-            assert literal.atom.predicate not in report.inlined
-
-
-def test_eliminate_recursion_unfolds_a_bounded_chain():
-    program = parse_program(
-        """
-        a(X) :- color(X).
-        b(X) :- a(X), edge(X, Y).
-        top(X) :- b(X).
-        """
-    )
-    unfolded, report = eliminate_recursion(
-        program, keep=frozenset(("top",))
-    )
-    assert report.inlined == ("a", "b")
-    assert len(unfolded.rules) == 1
-    (rule,) = unfolded.rules
-    assert rule.head.predicate == "top"
-    assert {lit.atom.predicate for lit in rule.body} == {"color", "edge"}
-
-
-def test_eliminate_recursion_keeps_negated_and_multi_rule_predicates():
-    program = parse_program(
-        """
-        a(X) :- color(X).
-        a(X) :- edge(X, X).
-        b(X) :- color(X), not a(X).
-        """
-    )
-    unfolded, report = eliminate_recursion(program)
-    assert report.inlined == ()
-    assert unfolded is program
 
 
 class TestFoldPartition:

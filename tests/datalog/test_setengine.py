@@ -1,5 +1,5 @@
 """The set-at-a-time engine: interning, bitsets, batch joins, and
-agreement with the tuple-at-a-time ablation path."""
+agreement with the tuple-at-a-time ``naive`` oracle."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +16,7 @@ from repro.datalog import (
 from repro.datalog.setengine import (
     SetDatabase,
     SetSemiNaiveEvaluator,
-    set_least_fixpoint,
+    least_fixpoint,
 )
 
 from ..conftest import TC_TEXT, chain_edges, datalog_databases, datalog_programs
@@ -25,7 +25,7 @@ TC = parse_program(TC_TEXT)
 
 #: all backends that materialize the full least fixpoint -- the
 #: agreement property quantifies over these
-FULL_BACKENDS = ["naive", "semi-naive", "semi-naive-tuple"]
+FULL_BACKENDS = ["naive", "semi-naive"]
 
 hashable_values = st.one_of(
     st.integers(-5, 40),
@@ -205,11 +205,12 @@ def monadic_db():
 
 class TestSetEngine:
     def test_monadic_bitset_path_matches_tuple_engine(self):
-        """The unary chain (bitset fast path) and the tuple engine
-        agree, including negation against the interned domain."""
+        """The unary chain (bitset fast path) and the tuple-at-a-time
+        ``naive`` oracle agree, including negation against the interned
+        domain."""
         db = monadic_db()
         new = solve(MONADIC, db, backend="semi-naive")
-        old = solve(MONADIC, db, backend="semi-naive-tuple")
+        old = solve(MONADIC, db, backend="naive")
         assert new.relation("reach") == old.relation("reach")
         assert new.relation("unreached") == old.relation("unreached")
         assert new.relation("unreached") == {
@@ -224,7 +225,7 @@ class TestSetEngine:
         for i in range(4):
             db.add("node", (i,))
         db.add("p", (2,))
-        result = set_least_fixpoint(program, db)
+        result = least_fixpoint(program, db)
         assert result.relation("q") == {(0,), (1,), (3,)}
 
     def test_zero_arity_heads(self):
@@ -233,12 +234,12 @@ class TestSetEngine:
         program = Program(
             [rule(atom("found"), pos("edge", var("X"), var("Y")))]
         )
-        assert set_least_fixpoint(program, chain_edges(3)).relation(
+        assert least_fixpoint(program, chain_edges(3)).relation(
             "found"
         ) == {()}
         empty = Database()
         assert (
-            set_least_fixpoint(program, empty).relation("found") == set()
+            least_fixpoint(program, empty).relation("found") == set()
         )
 
     def test_repeated_variables_in_atoms(self):
@@ -259,7 +260,7 @@ class TestSetEngine:
         db.add("item", ("a",))
         db.add("item", ("b",))
         new = solve(program, db, backend="semi-naive")
-        old = solve(program, db, backend="semi-naive-tuple")
+        old = solve(program, db, backend="naive")
         assert new.relation("t") == old.relation("t")
         assert new.relation("t") == {
             (frozenset({"a"}),),
@@ -274,7 +275,7 @@ class TestSetEngine:
         solve(
             TC,
             chain_edges(20),
-            backend="semi-naive-tuple",
+            backend="naive",
             stats=old_stats,
         )
         assert new_stats.facts_derived == old_stats.facts_derived
@@ -303,7 +304,6 @@ class TestEngineAgreement:
                 pred: result.relation(pred)
                 for pred in program.intensional_predicates()
             }
-        assert relations["semi-naive"] == relations["semi-naive-tuple"]
         assert relations["semi-naive"] == relations["naive"]
 
     @given(db=datalog_databases(max_facts=20), data=st.data())
