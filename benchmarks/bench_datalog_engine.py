@@ -60,9 +60,11 @@ Two entry points:
 * ``pytest benchmarks/bench_datalog_engine.py --benchmark-only`` --
   pytest-benchmark timings of each backend;
 * ``python benchmarks/bench_datalog_engine.py [--quick]`` -- the
-  head-to-head table (the CI smoke test).  It writes the
+  head-to-head table (the CI smoke test).  A passing run writes the
   machine-readable baseline ``BENCH_engine.json`` to the repo root
-  (``--out`` overrides) and exits non-zero if a contract regresses:
+  (``--out`` overrides); a run that breaks a contract exits non-zero
+  and leaves the baseline untouched, so a rerun still compares against
+  the good numbers:
 
   1. all full-fixpoint backends derive *identical* ``path`` relations,
      and magic's answers match the single-source slice of them;
@@ -87,7 +89,8 @@ Two entry points:
      results for 1 worker and N workers;
   7. the checked-in ``BENCH_engine.json`` must match the harness's
      schema version and workload/backend shape (drift fails CI until
-     the baseline is regenerated);
+     the baseline is regenerated: move the old file aside, rerun, and
+     rerun ``bench_solver_service.py`` for its service sections);
   8. the **planner workloads** gate the feedback loop (PR 8): a
      profiled replan derives identical relations, is never slower
      than the static textual plans (1.25x jitter tolerance), clears
@@ -1280,13 +1283,16 @@ def main(argv=None) -> int:
         ),
     )
     failures.extend(check_baseline_drift(previous, payload))
-    out = write_baseline(args.out, payload)
-    print(f"\nwrote {out}")
     if failures:
+        # a failing run must not become the baseline the next run
+        # compares against
+        print(f"\n{args.out} left untouched: this run failed its gates")
         print("\nCONTRACT VIOLATIONS:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
+    out = write_baseline(args.out, payload)
+    print(f"\nwrote {out}")
     print(
         "\nok: identical derived facts across full backends; magic derives "
         "strictly fewer facts and is >= 2x faster on the largest chain; "

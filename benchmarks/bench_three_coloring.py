@@ -42,7 +42,7 @@ def test_datalog_scaling(benchmark, instances, n):
 
 def test_linearity_of_direct_dp(benchmark, instances):
     """A single benchmark wrapping the whole sweep so that the fitted
-    slope lands in the report's extra_info."""
+    slope and log-log exponent land in the report's extra_info."""
     from repro.bench import fit_linear, time_ms
 
     times = {
@@ -54,5 +54,10 @@ def test_linearity_of_direct_dp(benchmark, instances):
     fit = fit_linear(list(times), list(times.values()))
     benchmark.extra_info["r_squared"] = round(fit.r_squared, 3)
     benchmark.extra_info["ms_per_vertex"] = round(fit.slope, 4)
+    benchmark.extra_info["exponent"] = round(fit.exponent, 3)
+    print(
+        f"direct DP vs n: R^2 = {fit.r_squared:.3f}, "
+        f"log-log exponent = {fit.exponent:.2f}"
+    )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert fit.is_convincingly_linear or fit.r_squared > 0.8

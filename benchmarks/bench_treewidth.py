@@ -1,7 +1,8 @@
 """Substrate: decomposition construction cost and quality.
 
-The paper assumes Bodlaender's linear-time algorithm [3]; DESIGN.md §5
-records the substitution by greedy heuristics.  This bench tracks their
+The paper assumes Bodlaender's linear-time algorithm [3]; the
+:mod:`repro.treewidth.heuristics` docstring records the substitution by
+greedy heuristics.  This bench tracks their
 cost on growing partial 2-trees, the width quality against the exact DP
 on small instances, and the exponential growth of the exact algorithm.
 

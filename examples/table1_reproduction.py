@@ -3,7 +3,7 @@
 Every row of the paper's experiment: PRIMALITY at treewidth 3 with
 #Att = 3 ... 93.  The MD column is the Figure 6 dynamic program, the
 MD-datalog column the interpreted program, and the MONA stand-in is
-budgeted naive MSO evaluation (DESIGN.md §5) whose '-' entries mirror
+budgeted naive MSO evaluation (see :mod:`repro.mso.eval`) whose '-' entries mirror
 the paper's out-of-memory dashes.
 
 Run:  python examples/table1_reproduction.py [--fast]
@@ -11,7 +11,7 @@ Run:  python examples/table1_reproduction.py [--fast]
 
 import sys
 
-from repro.bench import md_linearity, render_table1, run_table1
+from repro.bench import render_md_linearity, render_table1, run_table1
 
 
 def main() -> None:
@@ -24,11 +24,7 @@ def main() -> None:
     )
     print(render_table1(rows))
     print()
-    fit = md_linearity(rows)
-    print(
-        f"MD column linear fit vs #tn: slope {fit.slope:.3f} ms/node, "
-        f"R^2 = {fit.r_squared:.3f}"
-    )
+    print(render_md_linearity(rows))
     print(
         "Paper's claim: 'an essentially linear increase of the processing "
         "time with the size of the input' -- and no big hidden constant."

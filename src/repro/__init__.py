@@ -8,7 +8,9 @@ MSO-to-FTA baseline the paper argues against, and the Table 1
 experiment harness -- on top of from-scratch substrates for finite
 structures, tree decompositions, datalog and MSO.
 
-See README.md for a tour and DESIGN.md for the system inventory.
+ROADMAP.md (repository root) states the goals and open items;
+``core/README.md``, ``datalog/README.md`` and ``service/README.md``
+describe the solve route, the datalog engine and the service.
 """
 
 from . import (

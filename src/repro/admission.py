@@ -454,8 +454,11 @@ def repair_decomposition(
     # (4) connectedness: Steiner-splice each disconnected element
     working = TreeDecomposition(tree, bags)
     spliced = 0
-    for element in sorted(working.connectedness_violations(), key=repr):
-        occurrences = working.occurrences(element)
+    # a splice adds only the spliced element to bags, so one index built
+    # up front stays exact for every element still to be spliced
+    index = working.element_index()
+    for element in sorted(working.connectedness_violations(index), key=repr):
+        occurrences = index[element]
         closure: set[int] = set()
         for node in occurrences:
             path = []

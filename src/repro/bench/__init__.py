@@ -17,6 +17,7 @@ from .table1 import (
     PAPER_TREE_NODES,
     Table1Row,
     md_linearity,
+    render_md_linearity,
     render_table1,
     run_table1,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "format_ms",
     "format_table",
     "md_linearity",
+    "render_md_linearity",
     "render_table1",
     "run_table1",
     "time_ms",

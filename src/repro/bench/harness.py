@@ -8,6 +8,7 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -120,33 +121,52 @@ def compare_backends(
 
 @dataclass
 class LinearityReport:
-    """Least-squares fit diagnostics for 'is the scaling linear?'."""
+    """Least-squares fit diagnostics for 'is the scaling linear?'.
+
+    ``r_squared`` of the straight-line fit cannot tell linear from
+    quadratic growth (a parabola over a few doublings still fits a line
+    with R^2 > 0.9); ``exponent`` -- the slope of log y against log x --
+    can: it reads ~1 for linear and ~2 for quadratic data (``nan`` when
+    fewer than two points have positive x and y)."""
 
     slope: float
     intercept: float
     r_squared: float
+    exponent: float
 
     @property
     def is_convincingly_linear(self) -> bool:
         return self.r_squared > 0.9
 
 
-def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> LinearityReport:
-    """Ordinary least squares y = a*x + b with R^2."""
+def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through the points."""
     n = len(xs)
-    if n < 2:
-        raise ValueError("need at least two points")
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
     sxx = sum((x - mean_x) ** 2 for x in xs)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     if sxx == 0:
         raise ValueError("degenerate x values")
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
+    return slope, mean_y - slope * mean_x
+
+
+def fit_linear(xs: Sequence[float], ys: Sequence[float]) -> LinearityReport:
+    """Ordinary least squares y = a*x + b with R^2, plus the log-log
+    growth exponent."""
+    if len(xs) < 2:
+        raise ValueError("need at least two points")
+    slope, intercept = _ols(xs, ys)
+    mean_y = sum(ys) / len(ys)
     ss_res = sum(
         (y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)
     )
     ss_tot = sum((y - mean_y) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return LinearityReport(slope, intercept, r_squared)
+    logs = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if x > 0 and y > 0]
+    try:
+        exponent = _ols([lx for lx, _ in logs], [ly for _, ly in logs])[0]
+    except (ValueError, ZeroDivisionError):
+        exponent = math.nan
+    return LinearityReport(slope, intercept, r_squared, exponent)

@@ -8,7 +8,8 @@ For each workload row (tw=3; #Att/#FD/#tn growing) we measure:
   interpreter (an extra column the paper did not report);
 * **MONA stand-in** -- direct MSO evaluation of the Example 2.6 query
   under a step budget; "-" marks budget exhaustion, the analogue of the
-  paper's out-of-memory dashes (DESIGN.md §5 records the substitution).
+  paper's out-of-memory dashes (the :mod:`repro.mso.eval` docstring
+  records the substitution).
 
 The paper's own measurements (1.6 GHz Pentium M, C++, 2007) are kept in
 :data:`PAPER_MD_MS`/:data:`PAPER_MONA_MS` so the shape can be compared
@@ -153,4 +154,14 @@ def md_linearity(rows: list[Table1Row]):
     an 'essentially linear increase of the processing time'."""
     return fit_linear(
         [row.tree_nodes for row in rows], [row.md_ms for row in rows]
+    )
+
+
+def render_md_linearity(rows: list[Table1Row]) -> str:
+    """The MD fit as one line; the log-log exponent, not R^2, is what
+    separates linear (~1) from quadratic (~2) growth."""
+    fit = md_linearity(rows)
+    return (
+        f"MD column linear fit vs #tn: slope {fit.slope:.3f} ms/node, "
+        f"R^2 = {fit.r_squared:.3f}, log-log exponent = {fit.exponent:.2f}"
     )

@@ -258,6 +258,7 @@ class CourcelleSolver:
         td: TreeDecomposition | None,
         verified: bool = False,
     ):
+        caller_td = td is not None and not verified
         if td is None:
             td = decompose_structure(structure)
         if td.width > self.compiled.width:
@@ -269,12 +270,19 @@ class CourcelleSolver:
                 limit=self.compiled.width,
                 fingerprint=structure_fingerprint(structure),
             )
+        # validate once, at the trust boundary: a heuristic decomposition
+        # is valid by construction (tests/treewidth/test_heuristics.py
+        # proves it), and admission already checked the Section 2.2
+        # axioms of whatever it hands over; only a caller-supplied td
+        # that bypassed admission is checked here -- raw, before widen
+        # and normalize, so errors name the caller's nodes
+        if caller_td:
+            td.validate_for_structure(structure)
         if td.width < self.compiled.width:
             td = widen(td, self.compiled.width)
         ntd = normalize(td)
-        # admission already checked the Section 2.2 axioms against the
-        # structure; re-check only the Definition 2.3 shape then
-        ntd.validate(None if verified else structure)
+        # the linear Definition 2.3 shape check runs on every path
+        ntd.validate()
         return encode_normalized(structure, ntd)
 
     def _too_small(self, structure: Structure) -> bool:

@@ -563,34 +563,20 @@ def _check_negation_stratified(
                     )
 
 
-class SemiNaiveEvaluator:
-    """Tuple-at-a-time rule firing over a prepared program.
-
-    The machinery :func:`naive_least_fixpoint` runs on: a binding
-    stream per rule plan (:meth:`_solutions`) and head instantiation
-    (:meth:`_fire`).  The semi-naive delta loop itself runs
-    set-at-a-time in :class:`repro.datalog.setengine.SetSemiNaiveEvaluator`.
+class _RuleFirer:
+    """Tuple-at-a-time rule firing over a prepared program: the
+    machinery :func:`naive_least_fixpoint` runs on, a binding stream
+    per rule plan (:meth:`_solutions`) and head instantiation
+    (:meth:`_fire`).  Semi-naive evaluation lives set-at-a-time in
+    :class:`repro.datalog.setengine.SetSemiNaiveEvaluator`.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        registry: BuiltinRegistry | None = None,
-        prepared: PreparedProgram | None = None,
-    ):
-        if prepared is None:
-            prepared = prepare_program(program, registry)
+    def __init__(self, prepared: PreparedProgram, stats: EvaluationStats):
         self.prepared = prepared
         self.program = prepared.program
         self.registry = prepared.registry
         self.idb = prepared.idb
-        self.strata = list(prepared.strata)
-        self.stats = EvaluationStats()
-
-    @classmethod
-    def from_prepared(cls, prepared: PreparedProgram) -> "SemiNaiveEvaluator":
-        """An evaluator that skips all per-program work (cache hits)."""
-        return cls(prepared.program, prepared=prepared)
+        self.stats = stats
 
     # -- rule evaluation ------------------------------------------------
 
@@ -661,9 +647,11 @@ def naive_least_fixpoint(
     evaluator, and the oracle the conformance suite pins every other
     route to.
     """
-    evaluator = SemiNaiveEvaluator(program, registry, prepared=prepared)
-    if stats is not None:
-        evaluator.stats = stats
+    if prepared is None:
+        prepared = prepare_program(program, registry)
+    evaluator = _RuleFirer(
+        prepared, stats if stats is not None else EvaluationStats()
+    )
     if isinstance(edb, Structure):
         db = Database.from_structure(edb)
     elif isinstance(edb, Database):

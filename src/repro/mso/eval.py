@@ -10,7 +10,9 @@ This is intentional and load-bearing for the reproduction:
 * under a step budget it stands in for MONA in the Table 1 experiment
   -- an MSO-evaluation route without linear data complexity that blows
   up after the first few instance sizes exactly like the paper's MONA
-  column (see DESIGN.md §5 for the substitution rationale).
+  column.  That is the substitution's rationale: the project does not
+  depend on MONA, and what Table 1 shows of it is only that its cost
+  explodes while the datalog route stays linear.
 """
 
 from __future__ import annotations

@@ -101,20 +101,30 @@ def _schema_sort_keys(schema: RelationalSchema):
     return removal_key, introduction_key
 
 
+def _trusted_decomposition(
+    schema: RelationalSchema, td: TreeDecomposition | None
+) -> TreeDecomposition:
+    """The decomposition to prepare, validated once at the trust
+    boundary: a caller-supplied ``td`` is checked against the Section
+    2.2 axioms; a heuristic one is valid by construction."""
+    structure = schema.to_structure()
+    if td is None:
+        return decompose_structure(structure)
+    td.validate_for_structure(structure)
+    return td
+
+
 def prepare_decision_decomposition(
     schema: RelationalSchema,
     attribute: Attribute,
     td: TreeDecomposition | None = None,
 ) -> NiceTreeDecomposition:
     """Nice decomposition with ``attribute`` in the root bag."""
-    structure = schema.to_structure()
-    if td is None:
-        td = decompose_structure(structure)
+    td = _trusted_decomposition(schema, td)
     td = _enrich_with_rhs(td, schema)
     td = reroot_to_contain(td, attribute)
     removal_key, introduction_key = _schema_sort_keys(schema)
-    nice = make_nice(td, removal_key, introduction_key)
-    nice.validate(structure)
+    nice = make_nice(td, removal_key, introduction_key)  # shape-checked
     _check_rhs_invariant(nice, schema)
     return nice
 
@@ -126,14 +136,12 @@ def prepare_enumeration_decomposition(
     """Nice decomposition for the enumeration problem (Section 5.3):
     every attribute in some leaf bag, branch nodes surrounded by
     equal-bag neighbours, root not a branch node."""
-    structure = schema.to_structure()
-    if td is None:
-        td = decompose_structure(structure)
+    td = _trusted_decomposition(schema, td)
     td = _enrich_with_rhs(td, schema)
     td = ensure_elements_in_leaves(td, schema.attributes)
     removal_key, introduction_key = _schema_sort_keys(schema)
     nice = surround_branches(make_nice(td, removal_key, introduction_key))
-    nice.validate(structure)
+    nice.validate()
     _check_rhs_invariant(nice, schema)
     return nice
 

@@ -47,12 +47,16 @@ Coloring = dict[Vertex, str]
 def prepare_decomposition(
     graph: Graph, td: TreeDecomposition | None = None
 ) -> NiceTreeDecomposition:
-    """Heuristic decomposition + Section 5 normal form."""
+    """Heuristic decomposition + Section 5 normal form.
+
+    Validates once, at the trust boundary: a caller-supplied ``td`` is
+    checked against the Section 2.2 axioms; a heuristic one is valid by
+    construction and gets only :func:`make_nice`'s shape check."""
     if td is None:
         td = decompose_graph(graph)
-    nice = make_nice(td)
-    nice.validate(graph_to_structure(graph))
-    return nice
+    else:
+        td.validate_for_structure(graph_to_structure(graph))
+    return make_nice(td)
 
 
 def encode_for_three_coloring(

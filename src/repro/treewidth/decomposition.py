@@ -201,8 +201,19 @@ class TreeDecomposition:
             out |= bag
         return frozenset(out)
 
-    def occurrences(self, element: Element) -> set[NodeId]:
-        return {n for n, bag in self.bags.items() if element in bag}
+    def element_index(self) -> dict[Element, set[NodeId]]:
+        """Element -> the nodes whose bags hold it, in one pass over
+        the bags; build it once and hand it to
+        :meth:`connectedness_violations`."""
+        index: dict[Element, set[NodeId]] = {}
+        for node, bag in self.bags.items():
+            for element in bag:
+                nodes = index.get(element)
+                if nodes is None:
+                    index[element] = {node}
+                else:
+                    nodes.add(node)
+        return index
 
     def copy(self) -> "TreeDecomposition":
         return TreeDecomposition(self.tree.copy(), dict(self.bags))
@@ -218,32 +229,84 @@ class TreeDecomposition:
 
     # -- validation -------------------------------------------------------
 
-    def connectedness_violations(self) -> list[Element]:
-        """Elements whose occurrence set is not a connected subtree."""
-        violations = []
-        for element in self.all_elements():
-            nodes = self.occurrences(element)
-            if not self._is_connected(nodes):
-                violations.append(element)
-        return violations
+    def connectedness_violations(
+        self, index: dict[Element, set[NodeId]]
+    ) -> list[Element]:
+        """Elements whose occurrence set is not a connected subtree;
+        ``index`` is this decomposition's :meth:`element_index`."""
+        return [
+            element
+            for element in self.all_elements()
+            if not self._is_connected(index[element])
+        ]
 
     def _is_connected(self, nodes: set[NodeId]) -> bool:
-        if not nodes:
+        # in a rooted tree every connected component of a node set has
+        # exactly one node whose parent lies outside the set (its top)
+        parent = self.tree.parent
+        tops = 0
+        for node in nodes:
+            if parent(node) not in nodes:
+                tops += 1
+                if tops > 1:
+                    return False
+        return True
+
+    def _covers(
+        self, elements: set[Element], index: dict[Element, set[NodeId]]
+    ) -> bool:
+        """Whether some bag holds all of ``elements``; scans only the
+        bags of the element with the fewest occurrences."""
+        if not elements:
             return True
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            neighbors = list(self.tree.children(node))
-            parent = self.tree.parent(node)
-            if parent is not None:
-                neighbors.append(parent)
-            for nbr in neighbors:
-                if nbr in nodes and nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        return seen == nodes
+        rarest = min(elements, key=lambda e: len(index.get(e, ())))
+        bags = self.bags
+        return any(elements <= bags[node] for node in index.get(rarest, ()))
+
+    def _coverage_violations(self, universe, noun: str) -> list[Violation]:
+        """Conditions (1) and the no-alien-elements check, worded for
+        ``noun`` ("vertices" of a graph, "elements" of a structure)."""
+        violations: list[Violation] = []
+        elements = self.all_elements()
+        missing = universe - elements
+        if missing:
+            subject = tuple(sorted(missing, key=repr))
+            violations.append(
+                Violation(
+                    "element-uncovered",
+                    f"{noun} never covered: {sorted(missing, key=repr)}",
+                    subject=subject,
+                    repairable=True,
+                )
+            )
+        alien = elements - universe
+        if alien:
+            subject = tuple(sorted(alien, key=repr))
+            violations.append(
+                Violation(
+                    "alien-element",
+                    f"bags mention non-{noun}: {sorted(alien, key=repr)}",
+                    subject=subject,
+                    repairable=True,
+                )
+            )
+        return violations
+
+    def _connectedness_violation(
+        self, index: dict[Element, set[NodeId]]
+    ) -> list[Violation]:
+        bad = self.connectedness_violations(index)
+        if not bad:
+            return []
+        subject = tuple(sorted(bad, key=repr))
+        return [
+            Violation(
+                "connectedness",
+                f"connectedness violated for {sorted(bad, key=repr)}",
+                subject=subject,
+                repairable=True,
+            )
+        ]
 
     def graph_violations(self, graph: Graph) -> list[Violation]:
         """All Section 2.2 axiom violations against ``graph`` (no raise).
@@ -251,34 +314,14 @@ class TreeDecomposition:
         The messages preserve the historical first-fail phrasings
         (callers and tests substring-match on them); the codes and
         subjects are the machine-readable layer the admission control
-        of :mod:`repro.admission` consumes.
+        of :mod:`repro.admission` consumes.  One element->nodes index
+        serves coverage and connectedness, so the check is linear in
+        the total bag size for bounded width.
         """
-        violations: list[Violation] = []
-        elements = self.all_elements()
-        missing = graph.vertices - elements
-        if missing:
-            subject = tuple(sorted(missing, key=repr))
-            violations.append(
-                Violation(
-                    "element-uncovered",
-                    f"vertices never covered: {sorted(missing, key=repr)}",
-                    subject=subject,
-                    repairable=True,
-                )
-            )
-        alien = elements - graph.vertices
-        if alien:
-            subject = tuple(sorted(alien, key=repr))
-            violations.append(
-                Violation(
-                    "alien-element",
-                    f"bags mention non-vertices: {sorted(alien, key=repr)}",
-                    subject=subject,
-                    repairable=True,
-                )
-            )
+        index = self.element_index()
+        violations = self._coverage_violations(graph.vertices, "vertices")
         for u, v in graph.edges():
-            if not any({u, v} <= bag for bag in self.bags.values()):
+            if not self._covers({u, v}, index):
                 violations.append(
                     Violation(
                         "tuple-uncovered",
@@ -287,17 +330,7 @@ class TreeDecomposition:
                         repairable=True,
                     )
                 )
-        bad = self.connectedness_violations()
-        if bad:
-            subject = tuple(sorted(bad, key=repr))
-            violations.append(
-                Violation(
-                    "connectedness",
-                    f"connectedness violated for {sorted(bad, key=repr)}",
-                    subject=subject,
-                    repairable=True,
-                )
-            )
+        violations += self._connectedness_violation(index)
         return violations
 
     def structure_violations(self, structure: Structure) -> list[Violation]:
@@ -307,36 +340,14 @@ class TreeDecomposition:
         (condition 2 is per-tuple, which on the Gaifman graph coincides
         with per-edge coverage only for arity <= 2; here we check the
         real thing).  Collects *every* violation instead of stopping at
-        the first -- the admission layer repairs them as a set.
+        the first -- the admission layer repairs them as a set.  Like
+        :meth:`graph_violations`, it builds one element->nodes index.
         """
-        violations: list[Violation] = []
-        elements = self.all_elements()
-        missing = structure.domain - elements
-        if missing:
-            subject = tuple(sorted(missing, key=repr))
-            violations.append(
-                Violation(
-                    "element-uncovered",
-                    f"elements never covered: {sorted(missing, key=repr)}",
-                    subject=subject,
-                    repairable=True,
-                )
-            )
-        alien = elements - structure.domain
-        if alien:
-            subject = tuple(sorted(alien, key=repr))
-            violations.append(
-                Violation(
-                    "alien-element",
-                    f"bags mention non-elements: {sorted(alien, key=repr)}",
-                    subject=subject,
-                    repairable=True,
-                )
-            )
+        index = self.element_index()
+        violations = self._coverage_violations(structure.domain, "elements")
         for name in structure.signature:
             for tup in structure.relation(name):
-                needed = set(tup)
-                if not any(needed <= bag for bag in self.bags.values()):
+                if not self._covers(set(tup), index):
                     violations.append(
                         Violation(
                             "tuple-uncovered",
@@ -345,17 +356,7 @@ class TreeDecomposition:
                             repairable=True,
                         )
                     )
-        bad = self.connectedness_violations()
-        if bad:
-            subject = tuple(sorted(bad, key=repr))
-            violations.append(
-                Violation(
-                    "connectedness",
-                    f"connectedness violated for {sorted(bad, key=repr)}",
-                    subject=subject,
-                    repairable=True,
-                )
-            )
+        violations += self._connectedness_violation(index)
         return violations
 
     def validate_for_graph(self, graph: Graph) -> None:

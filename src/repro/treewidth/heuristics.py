@@ -8,11 +8,17 @@ with the data).  We substitute the classic greedy elimination heuristics
 -- min-degree and min-fill -- which produce valid decompositions whose
 width is near-optimal on the graph families used here, plus an exact
 branch-and-bound in :mod:`repro.treewidth.exact` for small instances.
-The substitution is recorded in DESIGN.md §5.
+
+The greedy order is incremental (see :func:`_greedy_order`), so the
+decomposition of a bounded-degree input takes O(n log n); a high-degree
+hub makes it superlinear in the hub's degree.  Its output is
+valid by construction and is not re-checked; the property suite in
+``tests/treewidth/test_heuristics.py`` is the proof.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Hashable, Iterable, Sequence
 
 from ..structures.graphs import Graph, gaifman_graph
@@ -50,16 +56,46 @@ def min_fill_order(graph: Graph) -> list[Vertex]:
 def _greedy_order(
     graph: Graph, cost: Callable[[dict[Vertex, set[Vertex]], Vertex], int]
 ) -> list[Vertex]:
+    """Repeatedly eliminate a vertex of least ``cost``, ties broken by
+    ``repr`` and then by first position in the vertex order (so the
+    order is deterministic across runs).
+
+    A heap with lazy deletion holds ``(cost, repr, position, vertex)``;
+    an entry is live while its cost is the vertex's current cost.
+    Eliminating ``v`` and filling ``N(v)`` into a clique changes only
+    the neighbourhoods of ``N(v)`` and the adjacency among them, so
+    only ``N(v) ∪ N(N(v))`` is re-costed -- both min-degree and min-fill
+    costs read nothing farther away.  For bounded degree each step is
+    O(log n), which makes the whole order O(n log n).  Bounded degree is
+    the condition: eliminating a neighbour of a vertex of degree ``d``
+    re-costs up to ``d`` vertices, and the min-fill cost of that vertex
+    itself takes O(d²), so a hub (a star's centre, say) makes the order
+    quadratic in its degree under min-degree and cubic under min-fill.
+    """
     adj = _neighbor_sets(graph)
+    keys = {v: (repr(v), i) for i, v in enumerate(adj)}
+    current = {v: cost(adj, v) for v in adj}
+    heap = [(c, *keys[v], v) for v, c in current.items()]
+    heapq.heapify(heap)
     order: list[Vertex] = []
-    while adj:
-        # repr-based tie-break keeps the heuristics deterministic across runs
-        v = min(adj, key=lambda u: (cost(adj, u), repr(u)))
+    while heap:
+        c, _, _, v = heapq.heappop(heap)
+        if current.get(v) != c:
+            continue  # eliminated, or re-costed since this entry
+        del current[v]
         order.append(v)
         nbrs = adj.pop(v)
         for a in nbrs:
             adj[a].discard(v)
             adj[a] |= nbrs - {a}
+        touched = set(nbrs)
+        for a in nbrs:
+            touched |= adj[a]
+        for u in touched:
+            fresh = cost(adj, u)
+            if fresh != current[u]:
+                current[u] = fresh
+                heapq.heappush(heap, (fresh, *keys[u], u))
     return order
 
 
@@ -115,7 +151,9 @@ def decompose_graph(graph: Graph, method: str = "min_fill") -> TreeDecomposition
 
     ``method`` is ``"min_fill"`` (default, usually smaller width) or
     ``"min_degree"`` (faster).  The result is always a *valid*
-    decomposition; only its width is heuristic.
+    decomposition; only its width is heuristic.  It is valid by
+    construction and not re-checked here (callers that take a
+    decomposition from outside validate that one instead).
     """
     if method == "min_fill":
         order = min_fill_order(graph)
@@ -123,9 +161,7 @@ def decompose_graph(graph: Graph, method: str = "min_fill") -> TreeDecomposition
         order = min_degree_order(graph)
     else:
         raise ValueError(f"unknown method {method!r}")
-    td = decomposition_from_order(graph, order)
-    td.validate_for_graph(graph)
-    return td
+    return decomposition_from_order(graph, order)
 
 
 def decompose_structure(
@@ -136,7 +172,4 @@ def decompose_structure(
     Decomposes the Gaifman graph; bags then automatically cover every
     relation tuple (each tuple's elements form a clique there).
     """
-    graph = gaifman_graph(structure)
-    td = decompose_graph(graph, method=method)
-    td.validate_for_structure(structure)
-    return td
+    return decompose_graph(gaifman_graph(structure), method=method)

@@ -269,10 +269,13 @@ def ensure_elements_in_leaves(
     for node in tree.nodes():
         if tree.is_leaf(node):
             covered |= bags[node]
+    # the host is the first node in preorder holding the element; a
+    # leaf added below stays after its host in preorder and holds a
+    # copy of the host's bag, so the index of the input stays exact
+    position = {node: i for i, node in enumerate(tree.preorder())}
+    index = td.element_index()
     for element in sorted(set(elements) - covered, key=repr):
-        host = next(
-            n for n in tree.preorder() if element in bags[n]
-        )
+        host = min(index[element], key=position.__getitem__)
         leaf = tree.add_child(host)
         bags[leaf] = bags[host]
         covered |= bags[host]

@@ -59,6 +59,38 @@ class TestRepairDecomposition:
         assert "spliced-connectedness:1" in repairs
         assert verify_decomposition(repaired, s) == []
 
+    def test_splice_reads_one_index_for_every_element(self, monkeypatch):
+        from repro.treewidth.decomposition import TreeDecomposition
+
+        n = 12
+        s = path_structure(n)
+        # a path decomposition whose middle bags each lose their shared
+        # element: every one of those elements ends up disconnected
+        bags = {i: [i, i + 1] for i in range(n - 1)}
+        for i in range(1, n - 2):
+            bags[i] = [i] if i % 2 else [i + 1]
+        bags[n - 1] = list(range(n))[1 : n - 1 : 2] + [n - 1]
+        children = {i: [i + 1] for i in range(n - 1)}
+        children[n - 1] = []
+        td = corrupt_td(bags, children)
+        assert len(td.connectedness_violations(td.element_index())) > 3
+
+        calls = []
+        original = TreeDecomposition.element_index
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(TreeDecomposition, "element_index", counting)
+        repaired, repairs = repair_decomposition(td, s)
+        assert repaired is not None
+        assert any(r.startswith("spliced-connectedness:") for r in repairs)
+        # one index for the splice loop, one for the final re-verification
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert verify_decomposition(repaired, s) == []
+
     def test_passes_compose(self):
         # aliens + a missing tuple + an isolated element, all at once
         edges = [(0, 1), (1, 0), (1, 2), (2, 1)]

@@ -259,6 +259,54 @@ class TestEngineBaseline:
         assert any(n.startswith("solve-tree-") for n in names)
 
 
+class TestBaselineWrite:
+    """``main`` writes ``BENCH_engine.json`` only from a passing run: a
+    run that trips a gate must not become the next run's baseline."""
+
+    @staticmethod
+    def _stub_runs(monkeypatch, bench, failure=None):
+        failures = [failure] if failure else []
+        monkeypatch.setattr(
+            bench, "run_comparison", lambda *a, **k: ([], {}, list(failures))
+        )
+        monkeypatch.setattr(
+            bench, "run_solver_comparison", lambda *a, **k: ([], {}, [])
+        )
+        monkeypatch.setattr(
+            bench, "run_planner_comparison", lambda *a, **k: ([], {}, [])
+        )
+        monkeypatch.setattr(
+            bench, "run_solve_many_comparison", lambda *a, **k: ({}, [])
+        )
+        monkeypatch.setattr(
+            bench,
+            "build_payload",
+            lambda *a, **k: {"schema": bench.SCHEMA_VERSION, "quick": True},
+        )
+
+    def test_failing_run_leaves_the_baseline_untouched(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        bench = _bench_module()
+        out = tmp_path / "BENCH_engine.json"
+        before = json.dumps({"schema": bench.SCHEMA_VERSION, "quick": True})
+        out.write_text(before)
+        self._stub_runs(monkeypatch, bench, failure="regressed counters")
+        assert bench.main(["--quick", "--out", str(out)]) == 1
+        assert out.read_text() == before
+        printed = capsys.readouterr().out
+        assert "left untouched" in printed
+        assert "regressed counters" in printed
+
+    def test_passing_run_writes_the_baseline(self, monkeypatch, tmp_path):
+        bench = _bench_module()
+        out = tmp_path / "BENCH_engine.json"
+        self._stub_runs(monkeypatch, bench)
+        assert bench.main(["--quick", "--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        assert written == {"schema": bench.SCHEMA_VERSION, "quick": True}
+
+
 class TestBaselineDrift:
     """The schema/shape drift gate between the harness and the
     checked-in BENCH_engine.json."""
@@ -761,6 +809,24 @@ class TestLinearFit:
         assert fit.intercept == pytest.approx(1)
         assert fit.r_squared == pytest.approx(1)
         assert fit.is_convincingly_linear
+
+    def test_exponent_reads_one_on_linear_data(self):
+        xs = [250, 500, 1000, 2000]
+        fit = fit_linear(xs, [3.0 * x + 20 for x in xs])
+        assert fit.exponent == pytest.approx(1, abs=0.05)
+
+    def test_exponent_reads_two_on_quadratic_data(self):
+        xs = [250, 500, 1000, 2000]
+        fit = fit_linear(xs, [0.002 * x * x for x in xs])
+        assert fit.exponent == pytest.approx(2, abs=0.01)
+        # the straight-line fit alone would call this linear
+        assert fit.is_convincingly_linear
+
+    def test_exponent_is_nan_without_two_positive_points(self):
+        import math
+
+        assert math.isnan(fit_linear([0, 1], [0, 5]).exponent)
+        assert math.isnan(fit_linear([1, 2], [0, 0]).exponent)
 
     def test_noise_lowers_r_squared(self):
         fit = fit_linear([1, 2, 3, 4], [1, 10, 2, 12])

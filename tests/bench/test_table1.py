@@ -4,6 +4,7 @@ from repro.bench import (
     PAPER_MD_MS,
     PAPER_MONA_MS,
     md_linearity,
+    render_md_linearity,
     render_table1,
     run_table1,
 )
@@ -42,3 +43,5 @@ class TestDriver:
                           mona_budget_steps=10)
         fit = md_linearity(rows)
         assert fit.slope == fit.slope  # not NaN
+        assert fit.exponent == fit.exponent
+        assert "log-log exponent" in render_md_linearity(rows)

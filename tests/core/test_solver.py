@@ -64,6 +64,78 @@ class TestQuery:
         assert solver.query(s, td) == frozenset(range(5))
 
 
+class TestTrustBoundary:
+    """Validate once, at the trust boundary: a caller-supplied
+    decomposition is checked against the Section 2.2 axioms before it is
+    widened and normalized; a heuristic one is trusted by construction."""
+
+    def test_invalid_caller_td_raises_invalid_decomposition(self, solver):
+        from repro.errors import InvalidDecomposition
+        from repro.treewidth import RootedTree, TreeDecomposition
+
+        s = graph_to_structure(Graph.path(4))
+        tree = RootedTree()
+        child = tree.add_child(tree.root)
+        td = TreeDecomposition(tree, {tree.root: {0, 1}, child: {2, 3}})
+        with pytest.raises(InvalidDecomposition) as err:
+            solver.query(s, td)
+        codes = {v.code for v in err.value.violations}
+        assert codes == {"tuple-uncovered"}
+        # the raw decomposition is what is reported: edge (1, 2) is the
+        # caller's defect, named before any widening or normalization
+        assert any(v.subject[1] in {(1, 2), (2, 1)} for v in err.value.violations)
+
+    def test_caller_td_with_alien_elements_is_refused(self, solver):
+        from repro.errors import InvalidDecomposition
+        from repro.treewidth import RootedTree, TreeDecomposition
+
+        s = graph_to_structure(Graph.path(3))
+        tree = RootedTree()
+        child = tree.add_child(tree.root)
+        leaf = tree.add_child(child)
+        td = TreeDecomposition(
+            tree, {tree.root: {0, 1}, child: {1, 2}, leaf: {99}}
+        )
+        with pytest.raises(InvalidDecomposition, match="non-elements"):
+            solver.query(s, td)
+
+    def test_heuristic_path_runs_no_axiom_check(self, solver, monkeypatch):
+        from repro.treewidth.decomposition import TreeDecomposition
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an axiom check ran on a trusted path")
+
+        monkeypatch.setattr(TreeDecomposition, "structure_violations", refuse)
+        monkeypatch.setattr(TreeDecomposition, "graph_violations", refuse)
+        s = graph_to_structure(Graph.path(6))
+        assert solver.query(s) == frozenset(range(6))
+
+    def test_admitted_td_is_not_rechecked(self, solver, monkeypatch):
+        from repro.admission import admit
+        from repro.treewidth import decompose_structure
+        from repro.treewidth.decomposition import TreeDecomposition
+
+        s = graph_to_structure(Graph.path(5))
+        result = admit(
+            s,
+            signature=GRAPH_SIGNATURE,
+            width=1,
+            td=decompose_structure(s),
+        )
+        calls = []
+        original = TreeDecomposition.structure_violations
+
+        def counting(self, structure):
+            calls.append(structure)
+            return original(self, structure)
+
+        monkeypatch.setattr(TreeDecomposition, "structure_violations", counting)
+        solver._prepare(result.structure, result.td, verified=True)
+        assert calls == []
+        solver._prepare(s, result.td)
+        assert len(calls) == 1
+
+
 class TestIsolatedQuery:
     def test_isolated(self):
         isolated_solver = CourcelleSolver(

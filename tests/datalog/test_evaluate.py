@@ -7,7 +7,6 @@ from repro.datalog import (
     Database,
     NotStratifiableError,
     Program,
-    SemiNaiveEvaluator,
     SetSemiNaiveEvaluator,
     UnsafeRuleError,
     atom,
@@ -15,6 +14,7 @@ from repro.datalog import (
     naive_least_fixpoint,
     parse_program,
     pos,
+    prepare_program,
     rule,
     stratify,
     var,
@@ -144,7 +144,7 @@ class TestNegation:
             """
         )
         with pytest.raises(NotStratifiableError):
-            SemiNaiveEvaluator(prog)
+            prepare_program(prog)
 
     def test_negation_on_edb_only_is_one_stratum(self):
         prog = parse_program("q(X) :- p(X), not r(X).")
@@ -155,17 +155,17 @@ class TestSafety:
     def test_unbound_head_variable_raises(self):
         prog = parse_program("q(X, Y) :- p(X).")
         with pytest.raises(UnsafeRuleError):
-            SemiNaiveEvaluator(prog)
+            prepare_program(prog)
 
     def test_unbound_negated_variable_raises(self):
         prog = parse_program("q(X) :- p(X), not r(Y).")
         with pytest.raises(UnsafeRuleError):
-            SemiNaiveEvaluator(prog)
+            prepare_program(prog)
 
     def test_builtin_needing_bound_args_raises_if_never_bound(self):
         prog = parse_program("q(X) :- X < 3.")
         with pytest.raises(UnsafeRuleError):
-            SemiNaiveEvaluator(prog)
+            prepare_program(prog)
 
 
 class TestBuiltinsInRules:

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.problems import (
     PrimalityAlgebra,
@@ -17,6 +18,7 @@ from repro.problems import (
     prime_attributes_rerooting,
 )
 from repro.structures import RelationalSchema, running_example
+from repro.treewidth import decompose_structure
 
 from ..conftest import small_schemas
 
@@ -189,6 +191,38 @@ class TestDecompositionPreparation:
         s = running_example()
         nice = prepare_enumeration_decomposition(s)
         assert len(nice.tree.children(nice.tree.root)) < 2
+
+
+class TestPreparationKeepsTheAxioms:
+    """The bag and tree rewrites after decomposition (rhs enrichment,
+    rerooting, leaf hosting, branch surrounding, nice form) keep the
+    Section 2.2 axioms, so the prepare functions need no axiom check of
+    their output: heuristic and caller-supplied input alike."""
+
+    @staticmethod
+    def _inputs(data, schema):
+        """No ``td`` (the heuristic path), and a caller's valid ``td``
+        built by the other method and rerooted at a drawn node."""
+        yield None
+        td = decompose_structure(schema.to_structure(), "min_degree")
+        yield td.rerooted(data.draw(st.sampled_from(sorted(td.tree.nodes()))))
+
+    @given(small_schemas(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_decision_preparation(self, schema, data):
+        structure = schema.to_structure()
+        attribute = data.draw(st.sampled_from(sorted(schema.attributes)))
+        for td in self._inputs(data, schema):
+            nice = prepare_decision_decomposition(schema, attribute, td)
+            assert nice.as_set_decomposition().structure_violations(structure) == []
+
+    @given(small_schemas(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_enumeration_preparation(self, schema, data):
+        structure = schema.to_structure()
+        for td in self._inputs(data, schema):
+            nice = prepare_enumeration_decomposition(schema, td)
+            assert nice.as_set_decomposition().structure_violations(structure) == []
 
 
 class TestPrograms:

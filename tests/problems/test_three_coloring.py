@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.problems import (
     ThreeColoringDatalog,
@@ -12,7 +13,8 @@ from repro.problems import (
     three_coloring_program,
 )
 from repro.problems.three_coloring import prepare_decomposition
-from repro.structures import Graph
+from repro.structures import Graph, graph_to_structure
+from repro.treewidth import decompose_graph
 
 from ..conftest import small_graphs
 
@@ -112,6 +114,17 @@ class TestProgramShape:
         for node, chosen in encoded.relation("allowed"):
             for u in chosen:
                 assert not any(v in chosen for v in g.neighbors(u))
+
+    @given(small_graphs(max_vertices=8), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_nice_form_keeps_the_axioms(self, g, data):
+        # the heuristic path runs no axiom check of its own
+        structure = graph_to_structure(g)
+        supplied = decompose_graph(g, "min_degree")
+        root = data.draw(st.sampled_from(sorted(supplied.tree.nodes())))
+        for td in (None, supplied.rerooted(root)):
+            nice = prepare_decomposition(g, td)
+            assert nice.as_set_decomposition().structure_violations(structure) == []
 
     def test_decomposition_respected_when_supplied(self):
         from repro.problems import random_partial_ktree

@@ -1,12 +1,27 @@
 """Unit tests for repro.treewidth.decomposition."""
 
-import pytest
-from hypothesis import given
+import os
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.admission import load_corpus, tree_violations
+from repro.errors import Violation
 from repro.structures import Graph, graph_to_structure
-from repro.treewidth import RootedTree, TreeDecomposition, decompose_graph
+from repro.structures.graphs import gaifman_graph
+from repro.treewidth import (
+    RootedTree,
+    TreeDecomposition,
+    decompose_graph,
+    decompose_structure,
+)
 
 from ..conftest import small_graphs
+from .test_heuristics import small_structures
+
+CORPUS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(__file__)), "data", "malformed"
+)
 
 
 class TestRootedTree:
@@ -165,3 +180,173 @@ class TestTreeDecomposition:
         td = decompose_graph(g)
         for node in list(td.tree.nodes()):
             td.rerooted(node).validate_for_graph(g)
+
+
+# ----------------------------------------------------------------------
+# The element->nodes index validator against the original scan-all-bags
+# validator, kept here as the reference
+# ----------------------------------------------------------------------
+
+
+def reference_connectedness_violations(td):
+    def connected(nodes):
+        if not nodes:
+            return True
+        start = next(iter(nodes))
+        seen, stack = {start}, [start]
+        while stack:
+            node = stack.pop()
+            neighbors = list(td.tree.children(node))
+            if td.tree.parent(node) is not None:
+                neighbors.append(td.tree.parent(node))
+            for nbr in neighbors:
+                if nbr in nodes and nbr not in seen:
+                    seen.add(nbr)
+                    stack.append(nbr)
+        return seen == nodes
+
+    return [
+        element
+        for element in td.all_elements()
+        if not connected({n for n, bag in td.bags.items() if element in bag})
+    ]
+
+
+def _reference_violations(td, universe, noun, tuples):
+    violations = []
+    elements = td.all_elements()
+    missing = universe - elements
+    if missing:
+        violations.append(
+            Violation(
+                "element-uncovered",
+                f"{noun} never covered: {sorted(missing, key=repr)}",
+                subject=tuple(sorted(missing, key=repr)),
+                repairable=True,
+            )
+        )
+    alien = elements - universe
+    if alien:
+        violations.append(
+            Violation(
+                "alien-element",
+                f"bags mention non-{noun}: {sorted(alien, key=repr)}",
+                subject=tuple(sorted(alien, key=repr)),
+                repairable=True,
+            )
+        )
+    for needed, message, subject in tuples:
+        if not any(set(needed) <= bag for bag in td.bags.values()):
+            violations.append(
+                Violation(
+                    "tuple-uncovered", message, subject=subject, repairable=True
+                )
+            )
+    bad = reference_connectedness_violations(td)
+    if bad:
+        violations.append(
+            Violation(
+                "connectedness",
+                f"connectedness violated for {sorted(bad, key=repr)}",
+                subject=tuple(sorted(bad, key=repr)),
+                repairable=True,
+            )
+        )
+    return violations
+
+
+def reference_structure_violations(td, structure):
+    tuples = [
+        (tup, f"tuple {name}{tup!r} covered by no bag", (name, tup))
+        for name in structure.signature
+        for tup in structure.relation(name)
+    ]
+    return _reference_violations(td, structure.domain, "elements", tuples)
+
+
+def reference_graph_violations(td, graph):
+    tuples = [
+        ((u, v), f"edge ({u!r}, {v!r}) covered by no bag", (u, v))
+        for u, v in graph.edges()
+    ]
+    return _reference_violations(td, graph.vertices, "vertices", tuples)
+
+
+def assert_validators_agree(td, structure):
+    assert td.structure_violations(structure) == reference_structure_violations(
+        td, structure
+    )
+    if hasattr(structure, "gaifman_edges"):
+        graph = gaifman_graph(structure)
+        assert td.graph_violations(graph) == reference_graph_violations(td, graph)
+    index = td.element_index()
+    assert td.connectedness_violations(index) == reference_connectedness_violations(
+        td
+    )
+    assert index == {
+        element: {n for n, bag in td.bags.items() if element in bag}
+        for element in td.all_elements()
+    }
+
+
+def _mutate(data, td, alien):
+    """One random defect: drop a bag element, detach a subtree and hang
+    it elsewhere, or plant an alien element."""
+    tree = td.tree.copy()
+    bags = dict(td.bags)
+    nodes = sorted(bags)
+    kind = data.draw(st.sampled_from(["drop", "detach", "alien"]))
+    if kind == "drop":
+        full = [n for n in nodes if bags[n]]
+        if full:
+            node = data.draw(st.sampled_from(full))
+            gone = data.draw(st.sampled_from(sorted(bags[node], key=repr)))
+            bags[node] = bags[node] - {gone}
+    elif kind == "detach" and len(nodes) > 2:
+        node = data.draw(st.sampled_from([n for n in nodes if n != tree.root]))
+        inside = set(tree.subtree_nodes(node))
+        target = data.draw(st.sampled_from([n for n in nodes if n not in inside]))
+        old = tree.parent(node)
+        tree._children[old].remove(node)
+        tree._children[target].append(node)
+        tree._parent[node] = target
+    else:
+        node = data.draw(st.sampled_from(nodes))
+        bags[node] = bags[node] | {alien}
+    return TreeDecomposition(tree, bags)
+
+
+#: corpus cases whose decomposition is a real tree (admission runs the
+#: axioms only on those; a corrupt tree stops at ``tree_violations``)
+AXIOM_CASES = [
+    case
+    for case in load_corpus(CORPUS_DIR)
+    if case["td"] is not None and not tree_violations(case["td"])
+]
+
+
+class TestIndexValidatorMatchesReference:
+    def test_corpus_has_axiom_cases(self):
+        assert {"clean", "alien_elements", "disconnected"} <= {
+            case["name"] for case in AXIOM_CASES
+        }
+
+    @pytest.mark.parametrize(
+        "case", AXIOM_CASES, ids=[case["name"] for case in AXIOM_CASES]
+    )
+    def test_malformed_corpus(self, case):
+        assert_validators_agree(case["td"], case["structure"])
+
+    @given(s=small_structures(), data=st.data())
+    def test_mutated_heuristic_decompositions(self, s, data):
+        td = decompose_structure(s)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            td = _mutate(data, td, alien=("alien", 0))
+        assert_validators_agree(td, s)
+
+    @given(g=small_graphs(), data=st.data())
+    def test_mutated_graph_decompositions(self, g, data):
+        s = graph_to_structure(g)
+        td = decompose_graph(g)
+        td = _mutate(data, td, alien=99)
+        assert_validators_agree(td, s)
